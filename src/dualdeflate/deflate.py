@@ -9,6 +9,7 @@ diagonal beta! map provided at the bottom of this file.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import Sequence
 
@@ -28,6 +29,7 @@ from .poly import (
     Polynomial,
     PolySystem,
     _as_vector,
+    _CompiledRows,
     factorial,
     substitute_line,
     total_degree,
@@ -56,10 +58,13 @@ class SymbolicMatrix:
         c = self.col_labels.index(tuple(beta))
         return self.entries[r][c]
 
+    @cached_property
+    def _compiled(self) -> _CompiledRows:
+        return _CompiledRows([e for row in self.entries for e in row])
+
     def evaluate(self, pt: Sequence[complex]) -> np.ndarray:
-        return np.array(
-            [[e.evaluate(pt) for e in row] for row in self.entries], dtype=complex
-        )
+        v = _as_vector(pt, len(self.col_labels[0]))
+        return self._compiled.evaluate(v).reshape(self.shape)
 
 
 @dataclass(frozen=True)

@@ -103,9 +103,10 @@ class MultiplicityReport:
 
 def _shifted_generators(F: PolySystem, x0, tol: float) -> list[Polynomial]:
     x0 = _as_vector(x0, F.nvars)
-    if F.residual(x0) >= tol:
+    residual = F.residual(x0)
+    if not residual < tol:  # also true for a NaN residual
         raise NotARootError(
-            f"residual {F.residual(x0):.3e} at the given point exceeds tolerance {tol:.1e}"
+            f"residual {residual:.3e} at the given point exceeds tolerance {tol:.1e}"
         )
     return [p.shift(x0) for p in F.polys]
 

@@ -10,6 +10,8 @@ Point format: one ``name = (re,im)`` (or ``name = number``) per line.
 
 from __future__ import annotations
 
+import cmath
+import math
 import re
 from typing import Sequence
 
@@ -125,7 +127,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.next()
-            return Polynomial.constant(self.nvars, float(tok.text))
+            return Polynomial.constant(self.nvars, _finite_number(tok))
         if tok.kind == "name":
             self.next()
             if tok.text not in self.vars:
@@ -167,7 +169,14 @@ class _Parser:
         if self.peek().kind in ("+", "-"):
             sign = -1.0 if self.next().kind == "-" else 1.0
         tok = self.expect("number")
-        return sign * float(tok.text)
+        return sign * _finite_number(tok)
+
+
+def _finite_number(tok: _Token) -> float:
+    value = float(tok.text)
+    if not math.isfinite(value):
+        raise ParseError(f"number {tok.text!r} is out of range", tok.line, tok.col)
+    return value
 
 
 def parse_system(text: str) -> PolySystem:
@@ -196,8 +205,13 @@ def parse_system(text: str) -> PolySystem:
     parser = _Parser(tokens, var_index, len(names))
     polys: list[Polynomial] = []
     while parser.peek().kind != "eof":
+        start = parser.peek()
         p = parser.expr()
         parser.expect(";")
+        if not all(cmath.isfinite(c) for _, c in p.items()):
+            raise ParseError(
+                "statement has a coefficient out of range", start.line, start.col
+            )
         polys.append(p)
     if not polys:
         tok = parser.peek()
@@ -238,6 +252,8 @@ def parse_point(text: str, F: PolySystem) -> np.ndarray:
                 values[name] = complex(float(rhs), 0.0)
         except ValueError:
             raise ParseError(f"cannot parse value {rhs!r}", lineno, None) from None
+        if not cmath.isfinite(values[name]):
+            raise ParseError(f"value {rhs!r} is not finite", lineno, None)
     missing = [nm for nm in F.var_names if nm not in values]
     if missing:
         raise ParseError(f"missing coordinates for {', '.join(missing)}")

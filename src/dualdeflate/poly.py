@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -106,6 +107,20 @@ class Polynomial:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", clean)
 
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict[Exponent, complex]) -> "Polynomial":
+        """Build from complex coefficients keyed by valid exponent tuples.
+
+        For arithmetic results only: skips the exponent checks of __init__
+        but drops zeros and adds to 0 as it does, which turns a -0.0 part
+        into +0.0, so both constructors store the same bits.
+        """
+        out = object.__new__(cls)
+        object.__setattr__(out, "nvars", nvars)
+        clean = {a: 0 + c for a, c in terms.items() if c != 0}
+        object.__setattr__(out, "_terms", clean)
+        return out
+
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
 
@@ -189,12 +204,12 @@ class Polynomial:
         out = dict(self._terms)
         for a, c in other._terms.items():
             out[a] = out.get(a, 0) + c
-        return Polynomial(self.nvars, out)
+        return Polynomial._trusted(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, {a: -c for a, c in self._terms.items()})
+        return Polynomial._trusted(self.nvars, {a: -c for a, c in self._terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-self._coerce(other))
@@ -205,14 +220,16 @@ class Polynomial:
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
             c = complex(other)
-            return Polynomial(self.nvars, {a: c * v for a, v in self._terms.items()})
+            return Polynomial._trusted(
+                self.nvars, {a: c * v for a, v in self._terms.items()}
+            )
         other = self._coerce(other)
         out: dict[Exponent, complex] = {}
         for a, ca in self._terms.items():
             for b, cb in other._terms.items():
                 key = tuple(x + y for x, y in zip(a, b))
                 out[key] = out.get(key, 0) + ca * cb
-        return Polynomial(self.nvars, out)
+        return Polynomial._trusted(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -238,11 +255,11 @@ class Polynomial:
             b = list(a)
             b[i] -= 1
             out[tuple(b)] = out.get(tuple(b), 0) + c * a[i]
-        return Polynomial(self.nvars, out)
+        return Polynomial._trusted(self.nvars, out)
 
     def diff(self, beta: Exponent) -> "Polynomial":
         """Mixed partial derivative d^beta (unscaled)."""
-        beta = tuple(beta)
+        beta = tuple(int(b) for b in beta)
         if len(beta) != self.nvars:
             raise DimensionMismatchError(
                 f"derivative index has length {len(beta)}, expected {self.nvars}"
@@ -258,19 +275,22 @@ class Polynomial:
                 for k in range(a - b + 1, a + 1):
                     fac *= k
             out[rem] = out.get(rem, 0) + c * fac
-        return Polynomial(self.nvars, out)
+        return Polynomial._trusted(self.nvars, out)
 
     def monomial_multiply(self, alpha: Exponent) -> "Polynomial":
         """Multiply by the monomial x^alpha (exponent shift)."""
-        alpha = tuple(alpha)
+        alpha = tuple(int(s) for s in alpha)
         if len(alpha) != self.nvars:
             raise DimensionMismatchError(
                 f"shift exponent has length {len(alpha)}, expected {self.nvars}"
             )
-        return Polynomial(
-            self.nvars,
-            {tuple(a + s for a, s in zip(e, alpha)): c for e, c in self._terms.items()},
-        )
+        terms = {
+            tuple(a + s for a, s in zip(e, alpha)): c for e, c in self._terms.items()
+        }
+        if min(alpha, default=0) < 0:
+            # a negative entry may leave a negative exponent: let __init__ check
+            return Polynomial(self.nvars, terms)
+        return Polynomial._trusted(self.nvars, terms)
 
     def evaluate(self, pt: Sequence[complex]) -> complex:
         v = _as_vector(pt, self.nvars)
@@ -323,11 +343,11 @@ class Polynomial:
 
     def embed(self, nvars: int, offset: int = 0) -> "Polynomial":
         """View in a larger variable set, variable i becoming i + offset."""
-        if offset + self.nvars > nvars:
+        if offset < 0 or offset + self.nvars > nvars:
             raise DimensionMismatchError("embedding does not fit target variable count")
         pad_front = (0,) * offset
         pad_back = (0,) * (nvars - offset - self.nvars)
-        return Polynomial(
+        return Polynomial._trusted(
             nvars, {pad_front + a + pad_back: c for a, c in self._terms.items()}
         )
 
@@ -371,6 +391,92 @@ def _fmt_real(x: float) -> str:
     return repr(x)
 
 
+# A complex number b = (br, bi) as the 2x2 block [[br, -bi], [bi, br]]: the
+# product of a = (ar, ai) with it, summed along the last axis, is
+# (ar*br - ai*bi, ar*bi + ai*br), the scalar complex multiply, in the same
+# float64 operations. numpy's complex-array multiply may fuse them.
+_AS_BLOCK = np.array([[0, 1], [1, 0]])
+_BLOCK_SIGNS = np.array([[1.0, -1.0], [1.0, 1.0]])
+
+
+def _complex_multiply(a: np.ndarray, b_blocks: np.ndarray, out: np.ndarray) -> None:
+    """out = a * b for (re, im) rows a and 2x2 blocks of b (see _AS_BLOCK)."""
+    prod = a[:, None, :] * b_blocks
+    np.add(prod[..., 0], prod[..., 1], out=out)
+
+
+class _CompiledRows:
+    """Polynomials laid out as flat arrays, built once for many evaluations.
+
+    ``evaluate(v)`` gives the same bits as ``[p.evaluate(v) for p in rows]``
+    because it performs the same float operations in the same order: a
+    monomial is the product of its factors x_i**a_i with a_i != 0, in
+    variable order, starting from 1; a term is its coefficient times its
+    monomial; each row adds its terms one at a time in grlex order, starting
+    from 0 (``np.add.at`` adds in index order, where ``np.sum`` would add
+    pairwise).
+
+    Storage is proportional to the number of terms. Terms are stored row
+    after row, each as its coefficient and the index of its monomial. Each
+    distinct monomial is a list of indices into a table of the distinct
+    (variable, exponent) powers; monomials are sorted by factor count, most
+    first, so those that have a j-th factor are a prefix.
+    """
+
+    def __init__(self, rows: Sequence[Polynomial]):
+        self.nrows = len(rows)
+        self.scales = [p.max_coeff_magnitude() for p in rows]
+        terms = [
+            (r, alpha, c)
+            for r, p in enumerate(rows)
+            for alpha, c in sorted(p.items(), key=lambda t: GRLEX.key(t[0]))
+        ]
+        powers = sorted(
+            {(i, a) for _, alpha, _ in terms for i, a in enumerate(alpha) if a}
+        )
+        power_index = {pw: k for k, pw in enumerate(powers)}
+        self._pow_var = np.array([i for i, _ in powers], dtype=np.intp)
+        self._pow_exp = np.array([a for _, a in powers], dtype=np.int64)
+
+        monomials = sorted(
+            {alpha for _, alpha, _ in terms}, key=lambda m: -sum(map(bool, m))
+        )
+        mono_index = {m: k for k, m in enumerate(monomials)}
+        factors = [
+            [power_index[(i, a)] for i, a in enumerate(m) if a] for m in monomials
+        ]
+        self._levels = []
+        for j in range(len(factors[0]) if factors else 0):
+            have = [f[j] for f in factors if len(f) > j]
+            self._levels.append((len(have), np.array(have, dtype=np.intp)))
+        self._unit = np.zeros((len(monomials), 2))
+        self._unit[:, 0] = 1.0
+
+        self._term_mono = np.array(
+            [mono_index[alpha] for _, alpha, _ in terms], dtype=np.intp
+        )
+        coeffs = np.array([(c.real, c.imag) for _, _, c in terms]).reshape(-1, 2)
+        self._coeff_blocks = coeffs[:, _AS_BLOCK] * _BLOCK_SIGNS
+        # a term of row r adds its real part to slot 2r of the output, which
+        # is (re, im) pairs, and its imaginary part to slot 2r + 1
+        slots = 2 * np.array([r for r, _, _ in terms], dtype=np.intp)
+        self._slots = np.stack([slots, slots + 1], axis=1).reshape(-1)
+
+    def evaluate(self, v: np.ndarray) -> np.ndarray:
+        """Values of the rows at the complex vector v."""
+        table = np.power(v[self._pow_var], self._pow_exp)
+        table = table.view(np.float64).reshape(-1, 2)[:, _AS_BLOCK] * _BLOCK_SIGNS
+        mono = self._unit.copy()
+        for count, factors in self._levels:
+            part = mono[:count]
+            _complex_multiply(part, table[factors], part)
+        vals = np.empty((len(self._term_mono), 2))
+        _complex_multiply(mono[self._term_mono], self._coeff_blocks, vals)
+        out = np.zeros(2 * self.nrows)
+        np.add.at(out, self._slots, vals.reshape(-1))
+        return out.view(complex)
+
+
 @dataclass(frozen=True)
 class PolySystem:
     """An ordered system F = (f_1, ..., f_N) sharing one variable set."""
@@ -400,19 +506,29 @@ class PolySystem:
     def nequations(self) -> int:
         return len(self.polys)
 
+    @cached_property
+    def _compiled(self) -> "_CompiledRows":
+        return _CompiledRows(self.polys)
+
+    @cached_property
+    def _partials(self) -> tuple[tuple[Polynomial, ...], ...]:
+        return tuple(
+            tuple(p.diff_once(j) for j in range(self.nvars)) for p in self.polys
+        )
+
+    @cached_property
+    def _compiled_jacobian(self) -> "_CompiledRows":
+        return _CompiledRows([d for row in self._partials for d in row])
+
     def evaluate(self, pt: Sequence[complex]) -> np.ndarray:
-        v = _as_vector(pt, self.nvars)
-        return np.array([p.evaluate(v) for p in self.polys], dtype=complex)
+        return self._compiled.evaluate(_as_vector(pt, self.nvars))
 
     def jacobian(self) -> list[list[Polynomial]]:
-        return [[p.diff_once(j) for j in range(self.nvars)] for p in self.polys]
+        return [list(row) for row in self._partials]
 
     def jacobian_at(self, pt: Sequence[complex]) -> np.ndarray:
         v = _as_vector(pt, self.nvars)
-        return np.array(
-            [[p.diff_once(j).evaluate(v) for j in range(self.nvars)] for p in self.polys],
-            dtype=complex,
-        )
+        return self._compiled_jacobian.evaluate(v).reshape(self.nequations, self.nvars)
 
     def jacobian_scale(self) -> float:
         """Max coefficient magnitude across all first partials (at least 1).
@@ -421,15 +537,11 @@ class PolySystem:
         singular root the evaluated matrix is uniformly tiny, so comparing
         its singular values only against each other would declare full rank.
         """
-        best = 1.0
-        for p in self.polys:
-            for j in range(self.nvars):
-                best = max(best, p.diff_once(j).max_coeff_magnitude())
-        return best
+        return max([1.0, *self._compiled_jacobian.scales])
 
     def coeff_scales(self) -> np.ndarray:
         """Per-equation max coefficient magnitude (for relative residuals)."""
-        return np.array([max(p.max_coeff_magnitude(), 1.0) for p in self.polys])
+        return np.maximum(self._compiled.scales, 1.0)
 
     def residual(self, pt: Sequence[complex]) -> float:
         """Max relative residual |f_j(pt)| / max(1, coeff scale of f_j)."""

@@ -72,16 +72,17 @@ def gauss_newton(
     point itself is accurate; the step size has no such blind spot.
     """
     x = _as_vector(x0, F.nvars).copy()
+    r = F.evaluate(x)
     iterates = [x.copy()]
-    residuals = [float(np.linalg.norm(F.evaluate(x)))]
+    residuals = [float(np.linalg.norm(r))]
     steps = [0.0]
     converged = False
     for _ in range(opts.max_iters):
-        r = F.evaluate(x)
+        # r = F(x), kept from the accepted trial: each point is evaluated once
         J = F.jacobian_at(x)
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(J))):
             raise ValueError("non-finite evaluation during Newton iteration")
-        r_norm = float(np.linalg.norm(r))
+        r_norm = residuals[-1]
         if r_norm == 0.0:
             converged = True
             break
@@ -102,18 +103,18 @@ def gauss_newton(
         # into an O(1e-3) step; without this guard the iterate walks away
         # from a root it has already found.
         scale = 1.0
-        accepted = None
         while scale >= 2.0 ** -16:
             trial = x + scale * dx
-            if float(np.linalg.norm(F.evaluate(trial))) < r_norm:
-                accepted = trial
+            r_trial = F.evaluate(trial)
+            trial_norm = float(np.linalg.norm(r_trial))
+            if trial_norm < r_norm:
                 break
             scale *= 0.5
-        if accepted is None:
+        else:
             break
-        x = accepted
+        x, r = trial, r_trial
         iterates.append(x.copy())
-        residuals.append(float(np.linalg.norm(F.evaluate(x))))
+        residuals.append(trial_norm)
         steps.append(float(np.linalg.norm(scale * dx)))
         if steps[-1] <= opts.tol_step * max(1.0, float(np.linalg.norm(x))):
             converged = True
@@ -177,9 +178,10 @@ def deflation_driver(
     to reduce the corank the order is escalated by one instead of aborting.
     """
     x = _as_vector(x0, F.nvars)
-    if F.residual(x) > config.tol_root:
+    residual = F.residual(x)
+    if not residual <= config.tol_root:  # also true for a NaN residual
         raise NotARootError(
-            f"relative residual {F.residual(x):.3e} exceeds {config.tol_root:.1e}"
+            f"relative residual {residual:.3e} exceeds {config.tol_root:.1e}"
         )
     rng = np.random.default_rng(config.seed)
     cap = config.max_stages

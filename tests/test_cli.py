@@ -190,6 +190,12 @@ def test_parse_error_exit_code(files, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_finite_coefficient_exit_code(files, capsys):
+    code = main(["matrix", files("s.txt", "vars: x\n1e400*x;\n"), "--order", "1"])
+    assert code == EXIT_PARSE
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     code = main(
         ["multiplicity", str(tmp_path / "nope.txt"), str(tmp_path / "also-nope.txt")]
@@ -203,6 +209,11 @@ def test_bad_point_exit_code(files, capsys):
         ["multiplicity", files("s.txt", EX2_TEXT), files("p.txt", "x1 = 0\n")]
     )
     assert code == EXIT_PARSE
+
+
+def test_non_finite_point_exit_code(files, capsys):
+    point = files("p.txt", "x1 = nan\nx2 = 0\n")
+    assert main(["multiplicity", files("s.txt", EX2_TEXT), point]) == EXIT_PARSE
 
 
 def test_non_root_point_exit_code(files, capsys):

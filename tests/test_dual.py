@@ -87,6 +87,12 @@ def test_mdz_rejects_non_root():
         build_mdz(EX2.system, [0.3, 0.1], 2)
 
 
+@pytest.mark.parametrize("method", [dual_space_dz, dual_space_st])
+def test_dual_space_rejects_nan_point(method):
+    with pytest.raises(NotARootError):
+        method(EX2.system, [np.nan, 0.0])
+
+
 # -- anti-derivation blocks ------------------------------------------------
 
 def test_sigma_maps_basis_vectors():

@@ -69,6 +69,21 @@ def test_parse_errors(text, fragment):
     assert fragment in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("vars: x\n1e400*x;", 2),
+        ("vars: x\nx;\n(1,-1e999)*x;", 3),
+        ("vars: x\nx;\n1e300*1e300*x;", 3),
+        ("vars: x\nx;\n\n1e200^2 - x;", 4),
+    ],
+)
+def test_non_finite_coefficients_rejected(text, line):
+    with pytest.raises(ParseError, match="out of range") as exc:
+        parse_system(text)
+    assert exc.value.line == line
+
+
 def test_parse_error_carries_location():
     with pytest.raises(ParseError) as exc:
         parse_system("vars: x\nx;\nx + $;")
@@ -122,6 +137,10 @@ def test_point_parsing():
         ("x = 1\nx = 2\ny = 0\n", "duplicate"),
         ("x\ny = 0\n", "expected"),
         ("x = foo\ny = 0\n", "cannot parse"),
+        ("x = nan\ny = 0\n", "not finite"),
+        ("x = 0\ny = -inf\n", "not finite"),
+        ("x = 1e400\ny = 0\n", "not finite"),
+        ("x = 0\ny = (1,1e400)\n", "not finite"),
     ],
 )
 def test_point_errors(text, fragment):

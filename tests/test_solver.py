@@ -6,6 +6,7 @@ import pytest
 from dualdeflate import (
     DriverConfig,
     NewtonOptions,
+    PolySystem,
     deflation_driver,
     gauss_newton,
     is_regular,
@@ -57,6 +58,21 @@ def test_newton_does_not_stop_on_tiny_residual_far_from_root():
     assert abs(trace.final[0]) < 1e-5
 
 
+def test_newton_evaluates_each_point_once(monkeypatch):
+    # the residual of an accepted trial point is reused, not recomputed
+    seen = []
+    evaluate = PolySystem.evaluate
+
+    def recording(self, pt):
+        seen.append(np.asarray(pt, dtype=complex).tobytes())
+        return evaluate(self, pt)
+
+    monkeypatch.setattr(PolySystem, "evaluate", recording)
+    trace = gauss_newton(SEC61.system, [1e-3, -2e-3], NewtonOptions(max_iters=30))
+    assert len(trace.iterates) > 5
+    assert len(seen) == len(set(seen))
+
+
 def test_newton_overdetermined_consistent():
     F = parse_system("vars: x\nx - 1;\n2*x - 2;")
     trace = gauss_newton(F, [1.4])
@@ -79,6 +95,12 @@ def test_is_regular():
 def test_driver_rejects_non_roots():
     with pytest.raises(NotARootError):
         deflation_driver(EX2.system, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("start", [[np.nan, 0.0], [0.0, complex(0.0, np.nan)]])
+def test_driver_rejects_nan_start(start):
+    with pytest.raises(NotARootError):
+        deflation_driver(EX2.system, start)
 
 
 def test_driver_double_root():
