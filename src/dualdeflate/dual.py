@@ -13,10 +13,11 @@ lookup in the shifted generators.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from itertools import combinations_with_replacement
 from math import comb
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,10 +33,8 @@ from .poly import (
     Exponent,
     Functional,
     MonomialOrder,
-    Polynomial,
     PolySystem,
     _as_vector,
-    exponent_sub,
 )
 
 DEFAULT_MAX_DEGREE = 16
@@ -61,21 +60,20 @@ class MonomialFrame:
     def nonzero(self) -> tuple[Exponent, ...]:
         return self.exponents[1:]
 
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The exponents as a read-only int array, one per row."""
+        A = np.array(self.exponents, dtype=np.int64).reshape(self.size, self.nvars)
+        A.flags.writeable = False
+        return A
+
 
 @lru_cache(maxsize=None)
 def _frame_cached(nvars: int, degree: int) -> MonomialFrame:
     if degree < 0:
         raise ValueError("degree must be non-negative")
-    exps: list[Exponent] = []
-
-    def rec(prefix, remaining, budget):
-        if remaining == 0:
-            exps.append(tuple(prefix))
-            return
-        for k in range(budget + 1):
-            rec(prefix + [k], remaining - 1, budget - k)
-
-    rec([], nvars, degree)
+    picks = combinations_with_replacement(range(nvars + 1), degree)  # last: slack
+    exps = [tuple(c.count(i) for i in range(nvars)) for c in picks]
     exps.sort(key=GRLEX.key)
     assert len(exps) == comb(nvars + degree, nvars)
     return MonomialFrame(nvars, degree, tuple(exps), {e: i for i, e in enumerate(exps)})
@@ -101,14 +99,73 @@ class MultiplicityReport:
     method: str
 
 
-def _shifted_generators(F: PolySystem, x0, tol: float) -> list[Polynomial]:
-    x0 = _as_vector(x0, F.nvars)
-    residual = F.residual(x0)
-    if not residual < tol:  # also true for a NaN residual
-        raise NotARootError(
-            f"residual {residual:.3e} at the given point exceeds tolerance {tol:.1e}"
-        )
-    return [p.shift(x0) for p in F.polys]
+def _frame_index(part: Callable[[int], np.ndarray], n: int, degree: int) -> np.ndarray:
+    """Frame index of the exponents whose i-th components are ``part(i)``,
+    -1 for those with a negative component; ``degree`` bounds their degree.
+
+    Frames are grlex-sorted prefixes of each other, so the index is the grlex
+    rank: the exponents of lower degree, plus, per variable, those of equal
+    degree that agree before it and are smaller at it. One component at a
+    time keeps memory to a few arrays of the components' broadcast shape.
+    """
+    C = np.array([[comb(t, m) for m in range(n + 1)] for t in range(degree + n + 1)])
+    valid, rank, r = True, 0, 0
+    for i in reversed(range(n)):
+        a = part(i)
+        valid = valid & (a >= 0)
+        m = n - 1 - i
+        prev, r = r, r + np.maximum(a, 0)
+        rank = rank + C[r + m, m] - C[prev + m, m]
+    return np.where(valid, rank + C[r + n - 1, n], -1)
+
+
+@lru_cache(maxsize=None)
+def _mdz_index(n: int, d: int) -> np.ndarray:
+    """T[a, c]: frame index of beta_c - alpha_a over the degree-d matrix's
+    row monomials alpha and column exponents beta, -1 if it goes negative."""
+    alphas = MonomialFrame.build(n, d - 1).array
+    betas = MonomialFrame.build(n, d).array[1:]
+    T = _frame_index(lambda i: betas[:, i] - alphas[:, i, None], n, d)
+    T.flags.writeable = False
+    return T
+
+
+class _CoefficientRows:
+    """The generators shifted to the root, each term placed by frame index."""
+
+    def __init__(self, F: PolySystem, x0, tol: float, max_d: int):
+        x0 = _as_vector(x0, F.nvars)
+        residual = F.residual(x0)
+        if not residual < tol:  # also true for a NaN residual
+            raise NotARootError(
+                f"residual {residual:.3e} at the given point exceeds "
+                f"tolerance {tol:.1e}"
+            )
+        n, shifted = F.nvars, [p.shift(x0) for p in F.polys]
+        items = [(j, e, c) for j, p in enumerate(shifted) for e, c in p.items()]
+        # terms above max_d are never used; dropping them keeps the ranks in int64
+        items = [t for t in items if sum(t[1]) <= max_d]
+        E = np.array([e for _, e, _ in items], dtype=np.int64).reshape(len(items), n)
+        self.n, self.count = n, len(shifted)
+        self.eq = np.array([j for j, _, _ in items], dtype=np.intp)
+        self.index = _frame_index(lambda i: E[:, i], n, int(E.sum(1).max(initial=0)))
+        self.values = np.array([c for _, _, c in items], dtype=complex)
+
+    def over_frame(self, d: int) -> np.ndarray:
+        """Row j: generator j's coefficients over frame(d), dropping terms
+        above degree d, then the zero entry that index -1 picks."""
+        size = MonomialFrame.build(self.n, d).size
+        V = np.zeros((self.count, size + 1), dtype=complex)
+        keep = self.index < size
+        V[self.eq[keep], self.index[keep]] = self.values[keep]
+        return V
+
+    def mdz(self, d: int) -> np.ndarray:
+        """The degree-d matrix of :func:`build_mdz`: row (alpha, j), column
+        beta holds generator j's coefficient of x^(beta - alpha)."""
+        T = _mdz_index(self.n, d)
+        M = np.ascontiguousarray(self.over_frame(d)[:, T].transpose(1, 0, 2))
+        return M.reshape(-1, T.shape[1])
 
 
 def build_mdz(
@@ -122,23 +179,7 @@ def build_mdz(
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
-    shifted = _shifted_generators(F, x0, tol)
-    return _assemble_mdz(shifted, F.nvars, d)
-
-
-def _assemble_mdz(shifted: list[Polynomial], n: int, d: int) -> np.ndarray:
-    rows_frame = MonomialFrame.build(n, d - 1)
-    cols = MonomialFrame.build(n, d).nonzero()
-    M = np.zeros((len(shifted) * rows_frame.size, len(cols)), dtype=complex)
-    r = 0
-    for alpha in rows_frame.exponents:
-        for p in shifted:
-            for c, beta in enumerate(cols):
-                rem = exponent_sub(beta, alpha)
-                if rem is not None:
-                    M[r, c] = p.coefficient(rem)
-            r += 1
-    return M
+    return _CoefficientRows(F, x0, tol, d).mdz(d)
 
 
 def build_sigma(j: int, d: int, nvars: int) -> np.ndarray:
@@ -152,19 +193,11 @@ def build_sigma(j: int, d: int, nvars: int) -> np.ndarray:
         raise DimensionMismatchError(f"variable index {j} out of range 1..{nvars}")
     if d < 2:
         raise ValueError("degree must be >= 2")
-    rows = MonomialFrame.build(nvars, d - 1)
-    cols = MonomialFrame.build(nvars, d).nonzero()
-    S = np.zeros((rows.size - 1, len(cols)), dtype=complex)
-    zero = (0,) * nvars
-    for c, beta in enumerate(cols):
-        if beta[j - 1] == 0:
-            continue
-        gamma = list(beta)
-        gamma[j - 1] -= 1
-        gamma = tuple(gamma)
-        if gamma == zero:
-            continue
-        S[rows.index[gamma] - 1, c] = 1
+    # T's row for alpha = e_j, which grlex puts at frame index nvars - j + 1
+    rows = _mdz_index(nvars, d)[nvars - j + 1] - 1
+    (cols,) = np.nonzero(rows >= 0)
+    S = np.zeros((comb(nvars + d - 1, nvars) - 1, len(rows)), dtype=complex)
+    S[rows[cols], cols] = 1
     return S
 
 
@@ -176,50 +209,52 @@ def _scale_rows(M: np.ndarray) -> np.ndarray:
     return M / mags[:, None]
 
 
-def _basis_from_kernel(
-    kernel: np.ndarray, frame: MonomialFrame, x0: tuple[complex, ...]
-) -> tuple[Functional, ...]:
-    n = frame.nvars
-    cols = frame.nonzero()
-    elements = [Functional.delta(n, (0,) * n, x0)]
-    for k in range(kernel.shape[1]):
-        terms = {cols[i]: kernel[i, k] for i in range(len(cols))}
-        elements.append(Functional(n, terms, x0))
-    return tuple(elements)
+def _dual_space(F, x0, tol, max_d, order, method, condition_matrix):
+    """The degree loop of both methods: stop when the kernel stops growing.
 
-
-def _finish(
-    F: PolySystem,
-    x0,
-    kernel: np.ndarray,
-    frame: MonomialFrame,
-    dims: list[int],
-    order: MonomialOrder,
-    method: str,
-    tol: float,
-) -> MultiplicityReport:
-    bp = tuple(complex(v) for v in _as_vector(x0, F.nvars))
-    elements = _basis_from_kernel(kernel, frame, bp)
-    basis = DualBasis(bp, frame.degree, elements, tuple(dims))
-    init = initial_support_of_elements(elements, order, tol)
-    return MultiplicityReport(
-        multiplicity=len(elements),
-        dual_basis=basis,
-        initial_support=frozenset(init),
-        standard_monomials=frozenset(init),
-        order_used=order,
-        method=method,
-    )
-
-
-def _check_monotone(dims: list[int]) -> None:
-    if dims[-1] < dims[-2]:
-        warnings.warn(
-            "dual-space dimension decreased from degree "
-            f"{len(dims) - 2} to {len(dims) - 1} ({dims[-2]} -> {dims[-1]}); "
-            "rank tolerance is likely marginal for this system",
-            RuntimeWarning,
+    ``condition_matrix(rows, d, prev, tol)`` builds the degree-d matrix;
+    ``prev`` is the scaled matrix of degree d - 1, None at d = 1.
+    """
+    if max_d < 1:
+        raise ValueError("max_d must be >= 1")
+    rows = _CoefficientRows(F, x0, tol, max_d)
+    dims, M = [1], None
+    for d in range(1, max_d + 1):
+        M = _scale_rows(condition_matrix(rows, d, M, tol))
+        kernel = kernel_basis(M, tol)
+        dims.append(1 + kernel.shape[1])
+        if dims[-1] < dims[-2]:
+            warnings.warn(
+                "dual-space dimension decreased from degree "
+                f"{d - 1} to {d} ({dims[-2]} -> {dims[-1]}); "
+                "rank tolerance is likely marginal for this system",
+                RuntimeWarning,
+            )
+        if dims[-1] <= dims[-2]:
+            break
+    else:
+        raise NonIsolatedSuspectError(
+            f"dual-space dimension still growing at degree {max_d}; "
+            "the root may be non-isolated",
+            per_degree_dims=dims,
         )
+    n = F.nvars
+    bp = tuple(complex(v) for v in _as_vector(x0, n))
+    cols = MonomialFrame.build(n, d).nonzero()
+    elements = (Functional.delta(n, (0,) * n, bp),) + tuple(
+        Functional(n, dict(zip(cols, kernel[:, k])), bp) for k in range(kernel.shape[1])
+    )
+    init = frozenset(initial_support_of_elements(elements, order, tol))
+    basis = DualBasis(bp, d, elements, tuple(dims))
+    return MultiplicityReport(len(elements), basis, init, init, order, method)
+
+
+def _st_matrix(rows: _CoefficientRows, d: int, prev, tol: float) -> np.ndarray:
+    """The generators over frame(d), then prev, pruned, through each sigma_j."""
+    blocks = [rows.over_frame(d)[:, 1:-1]]
+    if prev is not None and (pruned := prune_rows(prev, tol)).shape[0] > 0:
+        blocks += [pruned @ build_sigma(j, d, rows.n) for j in range(1, rows.n + 1)]
+    return np.vstack(blocks)
 
 
 def dual_space_dz(
@@ -230,23 +265,7 @@ def dual_space_dz(
     order: MonomialOrder = GRLEX,
 ) -> MultiplicityReport:
     """Dual space by the incremental full-matrix construction."""
-    if max_d < 1:
-        raise ValueError("max_d must be >= 1")
-    shifted = _shifted_generators(F, x0, tol)
-    dims = [1]
-    for d in range(1, max_d + 1):
-        frame = MonomialFrame.build(F.nvars, d)
-        M = _scale_rows(_assemble_mdz(shifted, F.nvars, d))
-        kernel = kernel_basis(M, tol)
-        dims.append(1 + kernel.shape[1])
-        _check_monotone(dims)
-        if dims[-1] <= dims[-2]:
-            return _finish(F, x0, kernel, frame, dims, order, "DZ", tol)
-    raise NonIsolatedSuspectError(
-        f"dual-space dimension still growing at degree {max_d}; "
-        "the root may be non-isolated",
-        per_degree_dims=dims,
-    )
+    return _dual_space(F, x0, tol, max_d, order, "DZ", lambda rows, d, *_: rows.mdz(d))
 
 
 def dual_space_st(
@@ -257,34 +276,7 @@ def dual_space_st(
     order: MonomialOrder = GRLEX,
 ) -> MultiplicityReport:
     """Dual space via anti-derivation closedness blocks with row pruning."""
-    if max_d < 1:
-        raise ValueError("max_d must be >= 1")
-    shifted = _shifted_generators(F, x0, tol)
-    n = F.nvars
-    dims = [1]
-    prev_pruned: np.ndarray | None = None
-    for d in range(1, max_d + 1):
-        frame = MonomialFrame.build(n, d)
-        cols = frame.nonzero()
-        top = np.array(
-            [[p.coefficient(beta) for beta in cols] for p in shifted], dtype=complex
-        )
-        blocks = [top]
-        if prev_pruned is not None and prev_pruned.shape[0] > 0:
-            for j in range(1, n + 1):
-                blocks.append(prev_pruned @ build_sigma(j, d, n))
-        M = _scale_rows(np.vstack(blocks))
-        kernel = kernel_basis(M, tol)
-        dims.append(1 + kernel.shape[1])
-        _check_monotone(dims)
-        if dims[-1] <= dims[-2]:
-            return _finish(F, x0, kernel, frame, dims, order, "ST", tol)
-        prev_pruned = prune_rows(M, tol)
-    raise NonIsolatedSuspectError(
-        f"dual-space dimension still growing at degree {max_d}; "
-        "the root may be non-isolated",
-        per_degree_dims=dims,
-    )
+    return _dual_space(F, x0, tol, max_d, order, "ST", _st_matrix)
 
 
 def initial_support_of_elements(

@@ -131,18 +131,3 @@ def subspace_distance(A: np.ndarray, B: np.ndarray) -> float:
     Pa = qa @ qa.conj().T
     Pb = qb @ qb.conj().T
     return float(np.linalg.norm(Pa - Pb, 2))
-
-
-def subspace_angles_max(A: np.ndarray, B: np.ndarray) -> float:
-    """Largest principal angle (radians) between the column spans of A and B."""
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    if A.size == 0 and B.size == 0:
-        return 0.0
-    qa, _ = np.linalg.qr(A)
-    qb, _ = np.linalg.qr(B)
-    s = np.linalg.svd(qa.conj().T @ qb, compute_uv=False)
-    s = np.clip(s, 0.0, 1.0)
-    if s.size < min(qa.shape[1], qb.shape[1]) or qa.shape[1] != qb.shape[1]:
-        return float(np.pi / 2)
-    return float(np.arccos(s.min()))

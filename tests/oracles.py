@@ -4,7 +4,9 @@ Everything here deliberately avoids the package's own calculus: derivatives
 are taken either term-by-term on raw exponent dictionaries or through sympy,
 and multiplicities of monomial ideals are counted by brute-force staircase
 enumeration. Keeping these separate from the library is what makes the
-cross-checks meaningful.
+cross-checks meaningful. The one exception is ``mdz_by_lookup``, the plain
+per-entry construction that the package's vectorised assembly must match
+bit for bit.
 """
 
 from __future__ import annotations
@@ -12,7 +14,11 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
+import numpy as np
 import sympy
+
+from dualdeflate.dual import MonomialFrame
+from dualdeflate.poly import exponent_sub
 
 
 def brute_derivative(
@@ -84,6 +90,28 @@ def apply_functional_oracle(
             fac *= math.factorial(a)
         total += c * val / fac
     return total
+
+
+def mdz_by_lookup(shifted, n: int, d: int) -> np.ndarray:
+    """The degree-d DZ matrix built one cell at a time.
+
+    Row (alpha, j), column beta holds the coefficient of x^(beta - alpha) in
+    the shifted generator j, looked up per cell. This per-entry loop is the
+    reference for the gather in ``build_mdz``; the frames it walks are checked
+    on their own in ``test_frame_sizes_and_order``.
+    """
+    rows_frame = MonomialFrame.build(n, d - 1)
+    cols = MonomialFrame.build(n, d).nonzero()
+    M = np.zeros((len(shifted) * rows_frame.size, len(cols)), dtype=complex)
+    r = 0
+    for alpha in rows_frame.exponents:
+        for p in shifted:
+            for c, beta in enumerate(cols):
+                rem = exponent_sub(beta, alpha)
+                if rem is not None:
+                    M[r, c] = p.coefficient(rem)
+            r += 1
+    return M
 
 
 def staircase_count(generators: Sequence[tuple], nvars: int) -> int:

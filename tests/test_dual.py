@@ -1,9 +1,12 @@
 """Dual-space construction: matrices, both algorithms, initial supports."""
 
+import tracemalloc
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualdeflate import (
     GRLEX,
@@ -20,7 +23,7 @@ from dualdeflate import (
     parse_system,
     subspace_distance,
 )
-from dualdeflate.dual import initial_support_of_elements
+from dualdeflate.dual import _frame_index, _mdz_index, initial_support_of_elements
 from dualdeflate.errors import (
     DegenerateBasisError,
     DimensionMismatchError,
@@ -30,7 +33,8 @@ from dualdeflate.errors import (
 from dualdeflate.poly import Functional
 
 from corpus import CORPUS, EX1, EX2, SEC61
-from oracles import apply_functional_oracle, monomial_multiply
+from oracles import apply_functional_oracle, mdz_by_lookup, monomial_multiply
+from test_evaluation import systems_and_points
 
 
 # -- monomial frames -------------------------------------------------------
@@ -80,6 +84,87 @@ def test_mdz_nonzero_basepoint():
     root = np.array([1.0, -2.0])
     M = build_mdz(F, root, 2)
     assert np.allclose(M, _mdz_oracle(F, root, 2), atol=1e-12)
+
+
+# -- the gathered matrix equals the per-entry lookup, bit for bit ----------
+
+def assert_mdz_matches_lookup(F, x0, d, tol=1e-8):
+    M = build_mdz(F, x0, d, tol)
+    ref = mdz_by_lookup([p.shift(x0) for p in F.polys], F.nvars, d)
+    assert M.shape == ref.shape
+    assert M.flags.c_contiguous
+    assert np.array_equal(M.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
+def test_mdz_bits_match_lookup_on_corpus(entry):
+    dims = dual_space_dz(entry.system, entry.root).dual_basis.per_degree_dims
+    for d in range(1, len(dims)):
+        assert_mdz_matches_lookup(entry.system, entry.root, d)
+
+
+RING_20 = "vars: " + " ".join(f"x{i}" for i in range(20)) + "\n" + "".join(
+    f"x{i} + x{(i + 1) % 20}^80;\n" for i in range(20)
+)
+
+
+@pytest.mark.parametrize(
+    "text, root, degrees",
+    [
+        # nonzero basepoint, non-integer shifted coefficients
+        ("vars: x y\n(x - 0.5)^2*(y + 1.25);\n(x - 0.5)*(y + 1.25);\n"
+         "(y + 1.25)^3;", (0.5, -1.25), 4),
+        # univariate
+        ("vars: t\n(t - 2)^3;", (2,), 4),
+        # four variables
+        ("vars: a b c d\na^2;\nb^2 - a*c;\nc^2;\nd^2 + a*b*c;", (0, 0, 0, 0), 4),
+        # generator degrees above d: their higher terms must be dropped
+        ("vars: x y\nx^2 + y^7;\ny^2 + x^5*y;", (0, 0), 3),
+        # grlex ranks of degree-80 terms in 20 variables overflow int64
+        (RING_20, (0,) * 20, 2),
+    ],
+    ids=["nonzero-basepoint", "univariate", "four-vars", "terms-above-d", "degree-80"],
+)
+def test_mdz_bits_match_lookup(text, root, degrees):
+    F = parse_system(text)
+    for d in range(1, degrees + 1):
+        assert_mdz_matches_lookup(F, np.array(root, dtype=complex), d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems_and_points(), st.integers(1, 4))
+def test_mdz_bits_match_lookup_on_random_sparse_systems(case, d):
+    F, x0 = case
+    # the matrix is defined at any point; an infinite tolerance admits non-roots
+    assert_mdz_matches_lookup(F, x0, d, tol=np.inf)
+
+
+def test_frame_index_is_the_position_in_the_frame():
+    for n in (1, 2, 3, 4):
+        for d in (0, 1, 3, 5):
+            A = MonomialFrame.build(n, d).array
+            index = _frame_index(lambda i: A[:, i], n, d)
+            assert np.array_equal(index, np.arange(len(A)))
+    E = np.array([[1, -1], [-2, 0], [0, 0]])
+    assert list(_frame_index(lambda i: E[:, i], 2, 1)) == [-1, -1, 0]
+
+
+def test_mdz_index_memory_follows_the_matrix():
+    # a dense radix-(d+1) lookup would take (d+1)^n = 531441 entries here,
+    # the index table and its temporaries only a few rows x cols arrays
+    n, d = 12, 2
+    rows, cols = comb(n + d - 1, n), comb(n + d, n) - 1
+    for k in (d - 1, d):  # build the cached frames first: trace only the table
+        MonomialFrame.build(n, k).array
+    tracemalloc.start()
+    try:
+        T = _mdz_index.__wrapped__(n, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert T.shape == (rows, cols)
+    assert peak <= 16 * rows * cols * T.itemsize
+    assert (d + 1) ** n * T.itemsize > 10 * peak
 
 
 def test_mdz_rejects_non_root():

@@ -11,7 +11,7 @@ from dualdeflate import (
     numerical_rank,
     prune_rows,
 )
-from dualdeflate.linalg import subspace_angles_max, subspace_distance
+from dualdeflate.linalg import subspace_distance
 
 
 def engineered_matrix(rng, m, n, rank, noise=0.0):
@@ -127,15 +127,6 @@ def test_least_squares_minimum_norm():
     x, res = least_squares(A, b)
     assert res < 1e-12
     assert np.allclose(x, [1.0, 1.0], atol=1e-10)
-
-
-def test_subspace_angles():
-    A = np.eye(3)[:, :2]
-    assert subspace_angles_max(A, A) < 1e-12
-    B = np.eye(3)[:, 1:]
-    assert subspace_angles_max(A, B) == pytest.approx(np.pi / 2)
-    # dimension mismatch reports the maximal angle
-    assert subspace_angles_max(A, np.eye(3)) == pytest.approx(np.pi / 2)
 
 
 def test_subspace_distance():
