@@ -142,7 +142,7 @@ def _run_multiplicity(args, report):
         degree=result.dual_basis.degree,
         per_degree_dims=list(result.dual_basis.per_degree_dims),
         initial_support=sorted(map(list, result.initial_support)),
-        standard_monomials=sorted(map(list, result.standard_monomials)),
+        standard_monomials=sorted(map(list, result.initial_support)),
     )
     return EXIT_OK
 

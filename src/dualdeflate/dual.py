@@ -94,7 +94,6 @@ class MultiplicityReport:
     multiplicity: int
     dual_basis: DualBasis
     initial_support: frozenset[Exponent]
-    standard_monomials: frozenset[Exponent]
     order_used: MonomialOrder
     method: str
 
@@ -213,7 +212,10 @@ def _dual_space(F, x0, tol, max_d, order, method, condition_matrix):
     """The degree loop of both methods: stop when the kernel stops growing.
 
     ``condition_matrix(rows, d, prev, tol)`` builds the degree-d matrix;
-    ``prev`` is the scaled matrix of degree d - 1, None at d = 1.
+    ``prev`` is the matrix of degree d - 1 as handed to the SVD, None at d = 1.
+    A tall matrix is handed over as the R factor of its QR decomposition:
+    R = Q^H M has the same singular values, right singular vectors and row
+    space, and the SVD of R builds no square U factor of the tall M.
     """
     if max_d < 1:
         raise ValueError("max_d must be >= 1")
@@ -221,6 +223,8 @@ def _dual_space(F, x0, tol, max_d, order, method, condition_matrix):
     dims, M = [1], None
     for d in range(1, max_d + 1):
         M = _scale_rows(condition_matrix(rows, d, M, tol))
+        if M.shape[0] > M.shape[1]:
+            M = np.linalg.qr(M, mode="r")
         kernel = kernel_basis(M, tol)
         dims.append(1 + kernel.shape[1])
         if dims[-1] < dims[-2]:
@@ -242,11 +246,12 @@ def _dual_space(F, x0, tol, max_d, order, method, condition_matrix):
     bp = tuple(complex(v) for v in _as_vector(x0, n))
     cols = MonomialFrame.build(n, d).nonzero()
     elements = (Functional.delta(n, (0,) * n, bp),) + tuple(
-        Functional(n, dict(zip(cols, kernel[:, k])), bp) for k in range(kernel.shape[1])
+        Functional._trusted(n, {a: c for a, c in zip(cols, v) if c}, bp)
+        for v in kernel.T.tolist()
     )
     init = frozenset(initial_support_of_elements(elements, order, tol))
     basis = DualBasis(bp, d, elements, tuple(dims))
-    return MultiplicityReport(len(elements), basis, init, init, order, method)
+    return MultiplicityReport(len(elements), basis, init, order, method)
 
 
 def _st_matrix(rows: _CoefficientRows, d: int, prev, tol: float) -> np.ndarray:
@@ -292,31 +297,35 @@ def initial_support_of_elements(
     """
     if not elements:
         raise DegenerateBasisError("empty functional basis")
-    support = sorted(
-        {a for L in elements for a in L.support()}, key=order.key, reverse=True
-    )
-    A = np.array(
-        [[L.terms.get(a, 0j) for a in support] for L in elements], dtype=complex
-    )
+    support = sorted({a for L in elements for a in L.terms}, key=order.key, reverse=True)
+    pos = {a: i for i, a in enumerate(support)}
+    A = np.zeros((len(elements), len(support)), dtype=complex)
+    for i, L in enumerate(elements):
+        A[i, [pos[a] for a in L.terms]] = list(L.terms.values())
     scale = np.abs(A).max() if A.size else 0.0
     if scale == 0:
         raise DegenerateBasisError("all functionals are zero")
-    remaining = list(range(len(elements)))
+    remaining = np.arange(len(elements))
     leading: set[Exponent] = set()
-    for c, alpha in enumerate(support):
-        if not remaining:
+    c = 0
+    while remaining.size:
+        # the columns the scan would skip, all at once: no remaining row
+        # exceeds tol * scale there, and skipping changes nothing in A
+        mags = np.abs(A[remaining, c:])
+        (ahead,) = np.nonzero(mags.max(axis=0, initial=0.0) > tol * scale)
+        if not ahead.size:
             break
-        pivot = max(remaining, key=lambda r: abs(A[r, c]))
-        if abs(A[pivot, c]) <= tol * scale:
-            continue
-        for r in remaining:
-            if r != pivot:
-                A[r] -= (A[r, c] / A[pivot, c]) * A[pivot]
-        remaining.remove(pivot)
-        leading.add(alpha)
-    if remaining:
+        k = int(np.argmax(mags[:, ahead[0]]))  # the first of tied maxima
+        c += int(ahead[0])
+        pivot, remaining = remaining[k], np.delete(remaining, k)
+        # columns up to c are never read again
+        factors = A[remaining, c] / A[pivot, c]
+        A[remaining, c + 1 :] -= np.outer(factors, A[pivot, c + 1 :])
+        leading.add(support[c])
+        c += 1
+    if remaining.size:
         raise DegenerateBasisError(
-            f"{len(remaining)} basis elements reduced to numerical zero"
+            f"{remaining.size} basis elements reduced to numerical zero"
         )
     return leading
 

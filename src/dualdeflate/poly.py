@@ -646,6 +646,21 @@ class Functional:
         object.__setattr__(self, "basepoint", bp)
 
     @classmethod
+    def _trusted(
+        cls, nvars: int, terms: dict[Exponent, complex], basepoint: tuple[complex, ...]
+    ) -> "Functional":
+        """Build from nonzero complex coefficients keyed by valid exponent
+        tuples and a basepoint tuple of complex, as the dual-space loop has
+        them: the checks of __post_init__ are skipped, and the result
+        compares equal to ``Functional(nvars, terms, basepoint)``.
+        """
+        out = object.__new__(cls)
+        object.__setattr__(out, "nvars", nvars)
+        object.__setattr__(out, "terms", terms)
+        object.__setattr__(out, "basepoint", basepoint)
+        return out
+
+    @classmethod
     def delta(cls, nvars: int, alpha: Exponent, basepoint=None) -> "Functional":
         bp = basepoint if basepoint is not None else (0,) * nvars
         return cls(nvars, {tuple(alpha): 1}, tuple(bp))

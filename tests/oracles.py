@@ -4,9 +4,12 @@ Everything here deliberately avoids the package's own calculus: derivatives
 are taken either term-by-term on raw exponent dictionaries or through sympy,
 and multiplicities of monomial ideals are counted by brute-force staircase
 enumeration. Keeping these separate from the library is what makes the
-cross-checks meaningful. The one exception is ``mdz_by_lookup``, the plain
-per-entry construction that the package's vectorised assembly must match
-bit for bit.
+cross-checks meaningful. The exceptions are plain earlier forms of faster
+code in the package, kept as references for it: ``mdz_by_lookup``, the
+per-entry construction that the vectorised assembly must match bit for bit;
+``dual_space_uncompressed``, the degree loop that hands each scaled matrix
+to the SVD whole; and ``initial_support_by_scan``, the column-by-column,
+row-by-row reduction.
 """
 
 from __future__ import annotations
@@ -17,8 +20,15 @@ from typing import Mapping, Sequence
 import numpy as np
 import sympy
 
-from dualdeflate.dual import MonomialFrame
-from dualdeflate.poly import exponent_sub
+from dualdeflate.dual import (
+    MonomialFrame,
+    _CoefficientRows,
+    _scale_rows,
+    _st_matrix,
+)
+from dualdeflate.errors import DegenerateBasisError
+from dualdeflate.linalg import kernel_basis
+from dualdeflate.poly import GRLEX, exponent_sub
 
 
 def brute_derivative(
@@ -112,6 +122,67 @@ def mdz_by_lookup(shifted, n: int, d: int) -> np.ndarray:
                     M[r, c] = p.coefficient(rem)
             r += 1
     return M
+
+
+def dual_space_uncompressed(F, x0, method: str, tol: float = 1e-8, max_d: int = 16):
+    """The dual-space degree loop with every scaled matrix taken whole.
+
+    Returns the per-degree dims, the stopping degree and the kernel at it,
+    whose columns are the coefficients of the basis elements other than D_0
+    over the nonzero exponents of frame(degree). ST prunes the whole matrix
+    of the previous degree.
+    """
+    rows = _CoefficientRows(F, x0, tol, max_d)
+    dims, M = [1], None
+    for d in range(1, max_d + 1):
+        if method == "DZ":
+            M = _scale_rows(rows.mdz(d))
+        else:
+            M = _scale_rows(_st_matrix(rows, d, M, tol))
+        kernel = kernel_basis(M, tol)
+        dims.append(1 + kernel.shape[1])
+        if dims[-1] <= dims[-2]:
+            return tuple(dims), d, kernel
+    raise ValueError(f"dual-space dimension still growing at degree {max_d}")
+
+
+def initial_support_by_scan(elements, order=GRLEX, tol: float = 1e-8) -> set:
+    """Leading exponents of a reduced basis, one column and one row at a time.
+
+    Columns are scanned from the top of the order down; in each the pivot is
+    the first remaining row of largest magnitude, skipped if that magnitude
+    is at most tol times the largest coefficient, and every other remaining
+    row is reduced against it.
+    """
+    if not elements:
+        raise DegenerateBasisError("empty functional basis")
+    support = sorted(
+        {a for L in elements for a in L.support()}, key=order.key, reverse=True
+    )
+    A = np.array(
+        [[L.terms.get(a, 0j) for a in support] for L in elements], dtype=complex
+    )
+    scale = np.abs(A).max() if A.size else 0.0
+    if scale == 0:
+        raise DegenerateBasisError("all functionals are zero")
+    remaining = list(range(len(elements)))
+    leading = set()
+    for c, alpha in enumerate(support):
+        if not remaining:
+            break
+        pivot = max(remaining, key=lambda r: abs(A[r, c]))
+        if abs(A[pivot, c]) <= tol * scale:
+            continue
+        for r in remaining:
+            if r != pivot:
+                A[r] -= (A[r, c] / A[pivot, c]) * A[pivot]
+        remaining.remove(pivot)
+        leading.add(alpha)
+    if remaining:
+        raise DegenerateBasisError(
+            f"{len(remaining)} basis elements reduced to numerical zero"
+        )
+    return leading
 
 
 def staircase_count(generators: Sequence[tuple], nvars: int) -> int:

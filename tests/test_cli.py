@@ -63,6 +63,7 @@ def test_multiplicity_json(files, capsys, method):
     assert report["multiplicity"] == 4
     assert report["method"] == method.upper()
     assert [0, 0] in report["initial_support"]
+    assert report["standard_monomials"] == report["initial_support"]
     assert "timings" in report
 
 

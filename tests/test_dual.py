@@ -32,8 +32,14 @@ from dualdeflate.errors import (
 )
 from dualdeflate.poly import Functional
 
-from corpus import CORPUS, EX1, EX2, SEC61
-from oracles import apply_functional_oracle, mdz_by_lookup, monomial_multiply
+from corpus import CORPUS, EX1, EX2, SEC61, monomial_ideal_entry
+from oracles import (
+    apply_functional_oracle,
+    dual_space_uncompressed,
+    initial_support_by_scan,
+    mdz_by_lookup,
+    monomial_multiply,
+)
 from test_evaluation import systems_and_points
 
 
@@ -257,6 +263,98 @@ def test_dual_basis_annihilates_multiples(entry):
                 assert abs(apply_functional(L, g)) < 1e-6 * scale
 
 
+def assert_matches_uncompressed(report, F, x0):
+    """Same multiplicity, dims and initial support as the loop that hands
+    each matrix to the SVD whole, and a dual basis within 1e-10."""
+    dims, degree, kernel = dual_space_uncompressed(F, x0, report.method)
+    basis = report.dual_basis
+    assert basis.per_degree_dims == dims
+    assert basis.degree == degree
+    assert report.multiplicity == dims[-1]
+    assert basis.elements[0] == Functional.delta(F.nvars, (0,) * F.nvars, x0)
+    A = _coefficient_matrix(basis.elements[1:], F.nvars, degree)[:, 1:]
+    assert A.shape == kernel.T.shape
+    assert subspace_distance(A.T, kernel) <= 1e-10
+    bp, cols = basis.basepoint, MonomialFrame.build(F.nvars, degree).nonzero()
+    elements = [Functional.delta(F.nvars, (0,) * F.nvars, bp)] + [
+        Functional(F.nvars, dict(zip(cols, v)), bp) for v in kernel.T
+    ]
+    assert report.initial_support == initial_support_by_scan(elements)
+
+
+@pytest.mark.parametrize("method", [dual_space_dz, dual_space_st])
+@pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
+def test_r_factor_loop_matches_uncompressed_on_corpus(entry, method):
+    report = method(entry.system, entry.root)
+    assert report.multiplicity == entry.multiplicity
+    assert_matches_uncompressed(report, entry.system, entry.root)
+
+
+@st.composite
+def monomial_ideals(draw):
+    """A zero-dimensional monomial ideal: a pure power of every variable,
+    plus up to two mixed monomials."""
+    n = draw(st.integers(1, 3))
+    powers = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    gens = [tuple(a if j == i else 0 for j in range(n)) for i, a in enumerate(powers)]
+    if n > 1:
+        mixed = st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(
+            lambda e: sum(x > 0 for x in e) >= 2
+        )
+        gens += draw(st.lists(mixed.map(tuple), max_size=2))
+    return tuple(gens), n, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=50, deadline=None)
+@given(monomial_ideals())
+def test_r_factor_loop_matches_uncompressed_on_monomial_ideals(ideal):
+    gens, n, seed = ideal
+    entry = monomial_ideal_entry("random", gens, n, seed)
+    for method in (dual_space_dz, dual_space_st):
+        report = method(entry.system, entry.root)
+        assert report.multiplicity == entry.multiplicity
+        assert_matches_uncompressed(report, entry.system, entry.root)
+
+
+@pytest.mark.parametrize("method", [dual_space_dz, dual_space_st])
+def test_svd_gets_the_r_factor_of_tall_matrices(method, monkeypatch):
+    import dualdeflate.dual as dual
+
+    shapes = []
+
+    def recording(name):
+        real = getattr(dual, name)
+
+        def record(M, *args):
+            shapes.append((name, M.shape))
+            return real(M, *args)
+
+        return record
+
+    for name in ("kernel_basis", "prune_rows"):
+        monkeypatch.setattr(dual, name, recording(name))
+    method(SEC61.system, SEC61.root)
+    kernels = [s for name, s in shapes if name == "kernel_basis"]
+    n = SEC61.system.nvars
+    degrees = range(1, len(kernels) + 1)
+    assert [cols for _, cols in kernels] == [comb(n + d, n) - 1 for d in degrees]
+    assert all(rows <= cols for _, (rows, cols) in shapes)
+    if method is dual_space_dz:  # the full matrices are tall here
+        assert kernels[2:] == [(cols, cols) for _, cols in kernels[2:]]
+
+
+def test_basis_elements_equal_publicly_built_ones():
+    for entry in CORPUS:
+        for method in (dual_space_dz, dual_space_st):
+            for L in method(entry.system, entry.root).dual_basis.elements:
+                public = Functional(L.nvars, L.terms, L.basepoint)
+                assert L == public
+                assert all(type(c) is complex and c != 0 for c in L.terms.values())
+                assert all(type(x) is int for a in L.terms for x in a)
+    trusted = Functional._trusted(2, {(1, 0): 2 + 0j, (0, 2): -1j}, (0j, 1 + 0j))
+    assert trusted == Functional(2, {(1, 0): 2, (0, 2): -1j, (1, 1): 0}, (0, 1))
+
+
 def test_per_degree_dims_monotone_and_stable():
     for entry in CORPUS:
         dims = dual_space_dz(entry.system, entry.root).dual_basis.per_degree_dims
@@ -322,6 +420,64 @@ def test_initial_support_rejects_degenerate_input():
     L = Functional(1, {(1,): 1}, (0,))
     with pytest.raises(DegenerateBasisError):
         initial_support_of_elements([L, L])  # linearly dependent
+
+
+@pytest.mark.parametrize("method", [dual_space_dz, dual_space_st])
+@pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
+def test_initial_support_matches_scan_on_corpus(entry, method):
+    elements = method(entry.system, entry.root).dual_basis.elements
+    n = entry.system.nvars
+    for order in (GRLEX, MonomialOrder.weighted(tuple(range(n, 0, -1)))):
+        assert initial_support_of_elements(elements, order) == initial_support_by_scan(
+            elements, order
+        )
+
+
+# small integers and units, so that pivot candidates often tie in magnitude
+_TIED_COEFFICIENTS = st.sampled_from([0, 0, 1, -1, 1j, -1j, 2, 1 + 1j, 0.5, 3e-9])
+
+
+@st.composite
+def functional_bases(draw):
+    frame = MonomialFrame.build(2, draw(st.integers(1, 3)))
+    k = draw(st.integers(1, min(5, frame.size)))
+    coefficients = st.lists(_TIED_COEFFICIENTS, min_size=frame.size, max_size=frame.size)
+    if draw(st.booleans()):
+        # subnormal pivots overflow the division on both sides alike
+        floats = st.floats(-2, 2, allow_subnormal=False)
+        coefficients = st.lists(
+            st.builds(complex, floats, floats), min_size=frame.size, max_size=frame.size
+        )
+    rows = draw(st.lists(coefficients, min_size=k, max_size=k))
+    return [Functional(2, dict(zip(frame.exponents, r)), (0, 0)) for r in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(functional_bases(), st.sampled_from([GRLEX, MonomialOrder.weighted((1, 2))]))
+def test_initial_support_matches_scan_on_random_bases(elements, order):
+    try:
+        expected = initial_support_by_scan(elements, order)
+    except DegenerateBasisError:
+        with pytest.raises(DegenerateBasisError):
+            initial_support_of_elements(elements, order)
+    else:
+        assert initial_support_of_elements(elements, order) == expected
+
+
+def test_initial_support_pivot_keeps_the_first_of_tied_rows():
+    # rows a and b tie at (1, 0). Pivoting on a, the first, leaves z with
+    # 1.2e-8 at (0, 1), above tol, so all three columns lead. Pivoting on b
+    # would leave 0.9e-8 and 0.75e-8 there, skip (0, 1), and reduce a row to
+    # zero at (0, 0).
+    rows = [
+        {(1, 0): 1},
+        {(1, 0): 1, (0, 1): 0.9e-8, (0, 0): 1},
+        {(1, 0): 0.5, (0, 1): 1.2e-8},
+    ]
+    elements = [Functional(2, r, (0, 0)) for r in rows]
+    expected = {(1, 0), (0, 1), (0, 0)}
+    assert initial_support_by_scan(elements) == expected
+    assert initial_support_of_elements(elements) == expected
 
 
 def test_initial_support_staircase_systems():
