@@ -15,13 +15,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .deflate import (
-    deflate_first_order,
-    deflate_higher_order,
-    deflation_matrix,
-    predict_order,
-    truncated_deflation_matrix,
-)
+from .deflate import deflate_higher_order, deflation_matrix, predict_order
 from .dual import dual_space_dz, dual_space_st
 from .errors import DimensionMismatchError, DualDeflateError, ParseError
 from .parsing import parse_point, parse_system, serialize_system
@@ -184,10 +178,7 @@ def _run_deflate(args, report):
         d = predict_order(F, x0, args.tol_rank, args.tol_coeff, rng).d
     else:
         d = policy
-    if d <= 1:
-        aug = deflate_first_order(F, x0, args.tol_rank, rng)
-    else:
-        aug = deflate_higher_order(F, d, x0, args.tol_rank, rng)
+    aug = deflate_higher_order(F, d, x0, args.tol_rank, rng)
     report.update(_augmented_report(aug))
     return EXIT_OK
 
@@ -222,10 +213,12 @@ def _run_solve(args, report):
 
 def _run_matrix(args, report):
     F = parse_system(_read(args.system))
-    if args.truncated:
-        M = truncated_deflation_matrix(F, args.order, rows=args.rows)
-    else:
-        M = deflation_matrix(F, args.order)
+    M = deflation_matrix(
+        F,
+        args.order,
+        multiples=not args.truncated or args.rows == "multiples",
+        top=args.truncated,
+    )
     report.update(
         rows=M.shape[0],
         cols=M.shape[1],

@@ -1,16 +1,13 @@
 """Construction of deflated (augmented) systems and deflation-order prediction.
 
 The generalized derivative matrices built here use unscaled partials
-d^beta, matching the operator side of the operator/functional pairing;
-conversion to the normalized functionals of the dual-space module is the
-diagonal beta! map provided at the bottom of this file.
+d^beta, matching the operator side of the operator/functional pairing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -22,15 +19,13 @@ from .errors import (
     OrderTooLowError,
 )
 from .dual import MonomialFrame
-from .linalg import DEFAULT_RANK_TOL, RankReport, kernel_basis, least_squares, numerical_rank
+from .linalg import DEFAULT_RANK_TOL, kernel_basis, least_squares, numerical_rank
 from .poly import (
     Exponent,
-    Functional,
     Polynomial,
     PolySystem,
     _as_vector,
     _CompiledRows,
-    factorial,
     substitute_line,
     total_degree,
 )
@@ -93,12 +88,6 @@ class DeflationOperator:
     def nvars(self) -> int:
         return len(next(iter(self.terms)))
 
-    def apply(self, p: Polynomial) -> Polynomial:
-        out = Polynomial.zero(p.nvars)
-        for beta, lam in self.terms.items():
-            out = out + lam * p.diff(beta)
-        return out
-
 
 @dataclass(frozen=True)
 class AugmentedSystem:
@@ -110,7 +99,6 @@ class AugmentedSystem:
     order: int
     stage: int
     kind: str
-    drawn: dict[str, np.ndarray | None]
     lambda_estimate: np.ndarray | None = None
 
     def extend_point(self, x: Sequence[complex]) -> np.ndarray:
@@ -136,56 +124,30 @@ class OrderPrediction:
     tol_coeff: float
 
 
-def _row_exponents(n: int, d: int) -> tuple[Exponent, ...]:
-    return MonomialFrame.build(n, d - 1).exponents
-
-
-def deflation_matrix(F: PolySystem, d: int) -> SymbolicMatrix:
+def deflation_matrix(
+    F: PolySystem, d: int, multiples: bool = True, top: bool = False
+) -> SymbolicMatrix:
     """Symbolic matrix of d^beta(x^alpha f_j), |alpha| < d, 0 < |beta| <= d.
 
-    At d = 1 this is the Jacobian of F.
+    ``multiples=False`` keeps only the rows of F itself (alpha = 0), and
+    ``top=True`` only the columns with |beta| = d. At d = 1 the full matrix
+    is the Jacobian of F.
     """
     if d < 1:
         raise ValueError("deflation order must be >= 1")
     n = F.nvars
     cols = MonomialFrame.build(n, d).nonzero()
+    if top:
+        cols = tuple(b for b in cols if total_degree(b) == d)
+    alphas = MonomialFrame.build(n, d - 1).exponents if multiples else ((0,) * n,)
     rows = []
     entries = []
-    for alpha in _row_exponents(n, d):
+    for alpha in alphas:
         for j, f in enumerate(F.polys):
             rows.append((alpha, j))
             shifted = f.monomial_multiply(alpha)
             entries.append(tuple(shifted.diff(beta) for beta in cols))
-    assert len(rows) == F.nequations * comb(n + d - 1, n)
-    assert len(cols) == comb(n + d, n) - 1
-    return SymbolicMatrix(tuple(rows), tuple(cols), tuple(entries))
-
-
-def truncated_deflation_matrix(
-    F: PolySystem, d: int, rows: str = "original"
-) -> SymbolicMatrix:
-    """Columns restricted to d^beta with |beta| = d exactly.
-
-    ``rows="original"`` keeps only the rows of F itself; ``rows="multiples"``
-    also includes the monomial multiples x^alpha f_j with 0 < |alpha| < d.
-    """
-    if d < 1:
-        raise ValueError("deflation order must be >= 1")
-    if rows not in ("original", "multiples"):
-        raise ValueError(f"unknown row set {rows!r}")
-    n = F.nvars
-    cols = tuple(
-        b for b in MonomialFrame.build(n, d).nonzero() if total_degree(b) == d
-    )
-    alphas = _row_exponents(n, d) if rows == "multiples" else ((0,) * n,)
-    row_labels = []
-    entries = []
-    for alpha in alphas:
-        for j, f in enumerate(F.polys):
-            row_labels.append((alpha, j))
-            shifted = f.monomial_multiply(alpha)
-            entries.append(tuple(shifted.diff(beta) for beta in cols))
-    return SymbolicMatrix(tuple(row_labels), cols, tuple(entries))
+    return SymbolicMatrix(tuple(rows), cols, tuple(entries))
 
 
 def predict_order(
@@ -237,6 +199,13 @@ def _extended_names(F: PolySystem, k: int) -> tuple[str, ...]:
     return tuple(names + out)
 
 
+def _weighted_sum(acc: Polynomial, weights, polys) -> Polynomial:
+    """acc + sum_c w_c * p_c, added in order; a weight is a number or a polynomial."""
+    for w, p in zip(weights, polys):
+        acc = acc + w * p
+    return acc
+
+
 def deflate_first_order(
     F: PolySystem,
     x0: Sequence[complex],
@@ -244,70 +213,8 @@ def deflate_first_order(
     rng: np.random.Generator | None = None,
     stage: int = 1,
 ) -> AugmentedSystem:
-    """One first-order deflation step with indeterminate multipliers.
-
-    With numerical rank r of the Jacobian at x0: for corank 1 the multipliers
-    pair directly with the gradient columns (lambda in C^n); for larger
-    corank the Jacobian is compressed with a random n-by-(r+1) matrix and
-    lambda lives in C^(r+1). One random scaling equation pins lambda.
-    """
-    rng = rng if rng is not None else np.random.default_rng()
-    x0 = _as_vector(x0, F.nvars)
-    n, N = F.nvars, F.nequations
-    J0 = F.jacobian_at(x0)
-    report = numerical_rank(J0, tol_rank, scale=F.jacobian_scale())
-    if report.corank == 0:
-        raise AlreadyRegularError("Jacobian already has full rank at the point")
-    r = report.rank
-    jac = F.jacobian()
-    if r == n - 1:
-        k = n
-        B = None
-        columns = [[jac[i][j] for i in range(N)] for j in range(n)]
-    else:
-        k = r + 1
-        B = unit_modulus(rng, (n, k))
-        columns = []
-        for m in range(k):
-            col = []
-            for i in range(N):
-                acc = Polynomial.zero(n)
-                for j in range(n):
-                    acc = acc + B[j, m] * jac[i][j]
-                col.append(acc)
-            columns.append(col)
-    b = unit_modulus(rng, k)
-
-    total = n + k
-    polys = [p.embed(total) for p in F.polys]
-    for i in range(N):
-        g = Polynomial.zero(total)
-        for m in range(k):
-            lam = Polynomial.variable(total, n + m)
-            g = g + lam * columns[m][i].embed(total)
-        polys.append(g)
-    h = Polynomial.constant(total, -1)
-    for m in range(k):
-        h = h + b[m] * Polynomial.variable(total, n + m)
-    polys.append(h)
-
-    Beff = B if B is not None else np.eye(n, dtype=complex)
-    stacked = np.vstack([J0 @ Beff, b[None, :]])
-    rhs = np.zeros(N + 1, dtype=complex)
-    rhs[-1] = 1
-    lam0, _ = least_squares(stacked, rhs)
-
-    system = PolySystem(total, tuple(polys), _extended_names(F, k))
-    return AugmentedSystem(
-        system=system,
-        n_original=n,
-        multiplier_count=k,
-        order=1,
-        stage=stage,
-        kind="first-order-B",
-        drawn={"B": B, "b": b},
-        lambda_estimate=lam0,
-    )
+    """First-order deflation: ``deflate_higher_order`` at d = 1."""
+    return deflate_higher_order(F, 1, x0, tol_rank, rng, stage)
 
 
 def deflate_higher_order(
@@ -318,77 +225,83 @@ def deflate_higher_order(
     rng: np.random.Generator | None = None,
     stage: int = 1,
 ) -> AugmentedSystem:
-    """Order-d deflation with indeterminate multipliers lambda_beta.
+    """Order-d deflation with indeterminate multipliers lambda.
 
-    Appends the equations sum_beta lambda_beta d^beta(x^alpha f_j) for
-    |alpha| < d together with m = corank random scaling equations, where m is
-    the numerical corank of the evaluated derivative matrix at x0.
+    Appends sum_c lambda_c p_c for every row p of the order-d derivative
+    matrix, and random scaling equations sum_c b_c lambda_c = 1 that pin
+    lambda. At d = 1 the rows are the Jacobian's; when its numerical rank r
+    at x0 is below n - 1 they are compressed by a random n-by-(r+1) matrix
+    B, so lambda lives in C^(r+1). Order 1 takes one scaling equation; at
+    d >= 2 there is one per unit of the matrix's numerical corank at x0.
     """
     if d < 1:
         raise ValueError("deflation order must be >= 1")
     rng = rng if rng is not None else np.random.default_rng()
     x0 = _as_vector(x0, F.nvars)
-    n, N = F.nvars, F.nequations
-    jac_report = numerical_rank(
-        F.jacobian_at(x0), tol_rank, scale=F.jacobian_scale()
-    )
+    n = F.nvars
+    J0 = F.jacobian_at(x0)
+    jac_report = numerical_rank(J0, tol_rank, scale=F.jacobian_scale())
     if jac_report.corank == 0:
         raise AlreadyRegularError("Jacobian already has full rank at the point")
 
-    A = deflation_matrix(F, d)
-    Aval = A.evaluate(x0)
-    ascale = max(
-        (e.max_coeff_magnitude() for row in A.entries for e in row), default=1.0
-    )
-    m = numerical_rank(Aval, tol_rank, scale=max(ascale, 1.0)).corank
-    if m == 0:
-        raise OrderTooLowError(
-            f"derivative matrix of order {d} has full rank; raise the order"
+    if d == 1:
+        rows = F.jacobian()
+        B = np.eye(n, dtype=complex)
+        if jac_report.rank < n - 1:
+            B = unit_modulus(rng, (n, jac_report.rank + 1))
+            rows = [
+                [_weighted_sum(Polynomial.zero(n), col, row) for col in B.T]
+                for row in rows
+            ]
+        # multiplied even when B = I: J0 @ I can differ from J0 in the sign
+        # of zero entries, and the multiplier estimate is solved from it
+        A0, m = J0 @ B, 1
+    else:
+        A = deflation_matrix(F, d)
+        rows = A.entries
+        A0 = A.evaluate(x0)
+        ascale = max(
+            (e.max_coeff_magnitude() for row in rows for e in row), default=1.0
         )
-    k = len(A.col_labels)
+        m = numerical_rank(A0, tol_rank, scale=max(ascale, 1.0)).corank
+        if m == 0:
+            raise OrderTooLowError(
+                f"derivative matrix of order {d} has full rank; raise the order"
+            )
+    k = A0.shape[1]
     total = n + k
+    lam = [Polynomial.variable(total, n + c) for c in range(k)]
     polys = [p.embed(total) for p in F.polys]
-    for row in A.entries:
-        g = Polynomial.zero(total)
-        for c, entry in enumerate(row):
-            g = g + Polynomial.variable(total, n + c) * entry.embed(total)
-        polys.append(g)
+    for row in rows:
+        polys.append(
+            _weighted_sum(Polynomial.zero(total), lam, [e.embed(total) for e in row])
+        )
     b = unit_modulus(rng, (m, k))
-    for kk in range(m):
-        h = Polynomial.constant(total, -1)
-        for c in range(k):
-            h = h + b[kk, c] * Polynomial.variable(total, n + c)
-        polys.append(h)
+    polys.extend(_weighted_sum(Polynomial.constant(total, -1), w, lam) for w in b)
 
-    stacked = np.vstack([Aval, b])
+    stacked = np.vstack([A0, b])
     rhs = np.zeros(stacked.shape[0], dtype=complex)
-    rhs[Aval.shape[0]:] = 1
+    rhs[A0.shape[0]:] = 1
     lam0, _ = least_squares(stacked, rhs)
 
-    system = PolySystem(total, tuple(polys), _extended_names(F, k))
     return AugmentedSystem(
-        system=system,
+        system=PolySystem(total, tuple(polys), _extended_names(F, k)),
         n_original=n,
         multiplier_count=k,
         order=d,
         stage=stage,
-        kind="higher-order-indeterminate",
-        drawn={"b": b},
+        kind="first-order-B" if d == 1 else "higher-order-indeterminate",
         lambda_estimate=lam0,
     )
 
 
 def deflate_with_operator(
-    F: PolySystem,
-    Q: DeflationOperator,
-    d: int,
-    multiple_degree: int | None = None,
+    F: PolySystem, Q: DeflationOperator, d: int
 ) -> AugmentedSystem:
-    """Augment F with Q applied to monomial multiples; no new variables.
+    """Augment F with Q applied to every x^alpha f_j, |alpha| < d; no new variables.
 
-    By default the appended rows run over all x^alpha f_j with |alpha| < d;
-    ``multiple_degree`` overrides the exclusive bound on |alpha| (pass 1 to
-    apply Q to the original equations only).
+    Each appended row combines a row of ``deflation_matrix(F, d)`` with Q's
+    coefficients as fixed weights.
     """
     if Q.order > d:
         raise ValueError(f"operator order {Q.order} exceeds deflation order {d}")
@@ -396,21 +309,18 @@ def deflate_with_operator(
         raise DimensionMismatchError(
             f"operator in {Q.nvars} variables, system in {F.nvars}"
         )
-    bound = d if multiple_degree is None else multiple_degree
-    polys = list(F.polys)
-    for alpha in MonomialFrame.build(F.nvars, bound - 1).exponents:
-        for f in F.polys:
-            polys.append(Q.apply(f.monomial_multiply(alpha)))
-    system = PolySystem(F.nvars, tuple(polys), F.var_names)
+    A = deflation_matrix(F, d)
+    weights = [Q.terms.get(beta, 0) for beta in A.col_labels]
+    polys = F.polys + tuple(
+        _weighted_sum(Polynomial.zero(F.nvars), weights, row) for row in A.entries
+    )
     return AugmentedSystem(
-        system=system,
+        system=PolySystem(F.nvars, polys, F.var_names),
         n_original=F.nvars,
         multiplier_count=0,
         order=d,
         stage=1,
         kind="fixed-operator",
-        drawn={},
-        lambda_estimate=None,
     )
 
 
@@ -455,16 +365,3 @@ def corank_drop_order(
         )
     return min(degrees) - 1
 
-
-def operator_to_functional(Q: DeflationOperator, basepoint) -> Functional:
-    """The diagonal beta! bijection: lambda_beta d^beta -> lambda_beta beta! D_beta."""
-    terms = {b: lam * factorial(b) for b, lam in Q.terms.items()}
-    return Functional(Q.nvars, terms, tuple(basepoint))
-
-
-def kernel_vector_to_operator(
-    vec: np.ndarray, col_labels: Sequence[Exponent], d: int, homogeneous: bool = False
-) -> DeflationOperator:
-    """Package a kernel vector of a derivative matrix as a deflation operator."""
-    terms = {tuple(b): complex(v) for b, v in zip(col_labels, vec)}
-    return DeflationOperator(d, terms, homogeneous)

@@ -332,7 +332,6 @@ def initial_support_of_elements(
 
 def initial_support(
     basis: DualBasis, order: MonomialOrder = GRLEX, tol: float = DEFAULT_RANK_TOL
-) -> tuple[set[Exponent], set[Exponent]]:
-    """Initial support of a dual basis and the matching standard monomials."""
-    init = initial_support_of_elements(basis.elements, order, tol)
-    return init, set(init)
+) -> set[Exponent]:
+    """Initial support of a dual basis, which is also its standard monomials."""
+    return initial_support_of_elements(basis.elements, order, tol)

@@ -563,12 +563,6 @@ class UnivariateSupport:
     coeffs: tuple[dict[int, complex], ...]
     max_magnitudes: tuple[float, ...]
 
-    def evaluate(self, t: complex) -> np.ndarray:
-        return np.array(
-            [sum(c * t**k for k, c in eq.items()) for eq in self.coeffs],
-            dtype=complex,
-        )
-
     def support(self, tol_coeff: float) -> set[int]:
         """Degrees whose coefficient exceeds tol_coeff relative per equation."""
         degs: set[int] = set()

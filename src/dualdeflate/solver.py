@@ -157,7 +157,6 @@ class DriverResult:
     traces: tuple[NewtonTrace, ...]
     final_system: PolySystem
     final_regular: bool
-    multiplicity_before: int | None = None
 
     @property
     def stage_count(self) -> int:
@@ -263,7 +262,6 @@ def deflation_driver(
         traces=tuple(traces),
         final_system=current,
         final_regular=final_regular,
-        multiplicity_before=multiplicity,
     )
 
 

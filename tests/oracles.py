@@ -8,13 +8,17 @@ cross-checks meaningful. The exceptions are plain earlier forms of faster
 code in the package, kept as references for it: ``mdz_by_lookup``, the
 per-entry construction that the vectorised assembly must match bit for bit;
 ``dual_space_uncompressed``, the degree loop that hands each scaled matrix
-to the SVD whole; and ``initial_support_by_scan``, the column-by-column,
-row-by-row reduction.
+to the SVD whole; ``initial_support_by_scan``, the column-by-column,
+row-by-row reduction; and the three separate deflation constructions with
+their two derivative-matrix functions (``old_deflate_first_order`` and the
+other ``old_`` functions), which the one deflation builder must match.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from math import comb
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -26,9 +30,22 @@ from dualdeflate.dual import (
     _scale_rows,
     _st_matrix,
 )
-from dualdeflate.errors import DegenerateBasisError
-from dualdeflate.linalg import kernel_basis
-from dualdeflate.poly import GRLEX, exponent_sub
+from dualdeflate.deflate import SymbolicMatrix, _extended_names, unit_modulus
+from dualdeflate.errors import (
+    AlreadyRegularError,
+    DegenerateBasisError,
+    DimensionMismatchError,
+    OrderTooLowError,
+)
+from dualdeflate.linalg import kernel_basis, least_squares, numerical_rank
+from dualdeflate.poly import (
+    GRLEX,
+    Polynomial,
+    PolySystem,
+    _as_vector,
+    exponent_sub,
+    total_degree,
+)
 
 
 def brute_derivative(
@@ -222,3 +239,212 @@ def staircase_count(generators: Sequence[tuple], nvars: int) -> int:
             idx[i] = 0
         else:
             return count
+
+
+# -- the separate deflation constructions the one builder replaced ----------
+# Function bodies copied unchanged, apart from the ``old_`` names,
+# ``OldAugmentedSystem`` (which keeps the ``drawn`` field) and
+# ``apply_operator`` standing in for the removed ``DeflationOperator.apply``.
+
+
+def apply_operator(Q, p: Polynomial) -> Polynomial:
+    """sum_beta lambda_beta d^beta p, term by term of the operator."""
+    out = Polynomial.zero(p.nvars)
+    for beta, lam in Q.terms.items():
+        out = out + lam * p.diff(beta)
+    return out
+
+
+@dataclass(frozen=True)
+class OldAugmentedSystem:
+    system: PolySystem
+    n_original: int
+    multiplier_count: int
+    order: int
+    stage: int
+    kind: str
+    drawn: dict
+    lambda_estimate: np.ndarray | None = None
+
+
+def _row_exponents(n: int, d: int):
+    return MonomialFrame.build(n, d - 1).exponents
+
+
+def old_deflation_matrix(F: PolySystem, d: int) -> SymbolicMatrix:
+    if d < 1:
+        raise ValueError("deflation order must be >= 1")
+    n = F.nvars
+    cols = MonomialFrame.build(n, d).nonzero()
+    rows = []
+    entries = []
+    for alpha in _row_exponents(n, d):
+        for j, f in enumerate(F.polys):
+            rows.append((alpha, j))
+            shifted = f.monomial_multiply(alpha)
+            entries.append(tuple(shifted.diff(beta) for beta in cols))
+    assert len(rows) == F.nequations * comb(n + d - 1, n)
+    assert len(cols) == comb(n + d, n) - 1
+    return SymbolicMatrix(tuple(rows), tuple(cols), tuple(entries))
+
+
+def old_truncated_deflation_matrix(
+    F: PolySystem, d: int, rows: str = "original"
+) -> SymbolicMatrix:
+    if d < 1:
+        raise ValueError("deflation order must be >= 1")
+    if rows not in ("original", "multiples"):
+        raise ValueError(f"unknown row set {rows!r}")
+    n = F.nvars
+    cols = tuple(
+        b for b in MonomialFrame.build(n, d).nonzero() if total_degree(b) == d
+    )
+    alphas = _row_exponents(n, d) if rows == "multiples" else ((0,) * n,)
+    row_labels = []
+    entries = []
+    for alpha in alphas:
+        for j, f in enumerate(F.polys):
+            row_labels.append((alpha, j))
+            shifted = f.monomial_multiply(alpha)
+            entries.append(tuple(shifted.diff(beta) for beta in cols))
+    return SymbolicMatrix(tuple(row_labels), cols, tuple(entries))
+
+
+def old_deflate_first_order(F, x0, tol_rank=1e-8, rng=None, stage=1):
+    rng = rng if rng is not None else np.random.default_rng()
+    x0 = _as_vector(x0, F.nvars)
+    n, N = F.nvars, F.nequations
+    J0 = F.jacobian_at(x0)
+    report = numerical_rank(J0, tol_rank, scale=F.jacobian_scale())
+    if report.corank == 0:
+        raise AlreadyRegularError("Jacobian already has full rank at the point")
+    r = report.rank
+    jac = F.jacobian()
+    if r == n - 1:
+        k = n
+        B = None
+        columns = [[jac[i][j] for i in range(N)] for j in range(n)]
+    else:
+        k = r + 1
+        B = unit_modulus(rng, (n, k))
+        columns = []
+        for m in range(k):
+            col = []
+            for i in range(N):
+                acc = Polynomial.zero(n)
+                for j in range(n):
+                    acc = acc + B[j, m] * jac[i][j]
+                col.append(acc)
+            columns.append(col)
+    b = unit_modulus(rng, k)
+
+    total = n + k
+    polys = [p.embed(total) for p in F.polys]
+    for i in range(N):
+        g = Polynomial.zero(total)
+        for m in range(k):
+            lam = Polynomial.variable(total, n + m)
+            g = g + lam * columns[m][i].embed(total)
+        polys.append(g)
+    h = Polynomial.constant(total, -1)
+    for m in range(k):
+        h = h + b[m] * Polynomial.variable(total, n + m)
+    polys.append(h)
+
+    Beff = B if B is not None else np.eye(n, dtype=complex)
+    stacked = np.vstack([J0 @ Beff, b[None, :]])
+    rhs = np.zeros(N + 1, dtype=complex)
+    rhs[-1] = 1
+    lam0, _ = least_squares(stacked, rhs)
+
+    system = PolySystem(total, tuple(polys), _extended_names(F, k))
+    return OldAugmentedSystem(
+        system=system,
+        n_original=n,
+        multiplier_count=k,
+        order=1,
+        stage=stage,
+        kind="first-order-B",
+        drawn={"B": B, "b": b},
+        lambda_estimate=lam0,
+    )
+
+
+def old_deflate_higher_order(F, d, x0, tol_rank=1e-8, rng=None, stage=1):
+    if d < 1:
+        raise ValueError("deflation order must be >= 1")
+    rng = rng if rng is not None else np.random.default_rng()
+    x0 = _as_vector(x0, F.nvars)
+    n, N = F.nvars, F.nequations
+    jac_report = numerical_rank(
+        F.jacobian_at(x0), tol_rank, scale=F.jacobian_scale()
+    )
+    if jac_report.corank == 0:
+        raise AlreadyRegularError("Jacobian already has full rank at the point")
+
+    A = old_deflation_matrix(F, d)
+    Aval = A.evaluate(x0)
+    ascale = max(
+        (e.max_coeff_magnitude() for row in A.entries for e in row), default=1.0
+    )
+    m = numerical_rank(Aval, tol_rank, scale=max(ascale, 1.0)).corank
+    if m == 0:
+        raise OrderTooLowError(
+            f"derivative matrix of order {d} has full rank; raise the order"
+        )
+    k = len(A.col_labels)
+    total = n + k
+    polys = [p.embed(total) for p in F.polys]
+    for row in A.entries:
+        g = Polynomial.zero(total)
+        for c, entry in enumerate(row):
+            g = g + Polynomial.variable(total, n + c) * entry.embed(total)
+        polys.append(g)
+    b = unit_modulus(rng, (m, k))
+    for kk in range(m):
+        h = Polynomial.constant(total, -1)
+        for c in range(k):
+            h = h + b[kk, c] * Polynomial.variable(total, n + c)
+        polys.append(h)
+
+    stacked = np.vstack([Aval, b])
+    rhs = np.zeros(stacked.shape[0], dtype=complex)
+    rhs[Aval.shape[0]:] = 1
+    lam0, _ = least_squares(stacked, rhs)
+
+    system = PolySystem(total, tuple(polys), _extended_names(F, k))
+    return OldAugmentedSystem(
+        system=system,
+        n_original=n,
+        multiplier_count=k,
+        order=d,
+        stage=stage,
+        kind="higher-order-indeterminate",
+        drawn={"b": b},
+        lambda_estimate=lam0,
+    )
+
+
+def old_deflate_with_operator(F, Q, d, multiple_degree=None):
+    if Q.order > d:
+        raise ValueError(f"operator order {Q.order} exceeds deflation order {d}")
+    if Q.nvars != F.nvars:
+        raise DimensionMismatchError(
+            f"operator in {Q.nvars} variables, system in {F.nvars}"
+        )
+    bound = d if multiple_degree is None else multiple_degree
+    polys = list(F.polys)
+    for alpha in MonomialFrame.build(F.nvars, bound - 1).exponents:
+        for f in F.polys:
+            polys.append(apply_operator(Q, f.monomial_multiply(alpha)))
+    system = PolySystem(F.nvars, tuple(polys), F.var_names)
+    return OldAugmentedSystem(
+        system=system,
+        n_original=F.nvars,
+        multiplier_count=0,
+        order=d,
+        stage=1,
+        kind="fixed-operator",
+        drawn={},
+        lambda_estimate=None,
+    )

@@ -96,6 +96,13 @@ def test_deflate_emits_reparsable_system(files, capsys):
     assert len(report["lambda_estimate"]) == report["multiplier_count"]
 
 
+@pytest.mark.parametrize("order", ["0", "-3"])
+def test_deflate_rejects_order_below_one(files, capsys, order):
+    argv = ["deflate", files("s.txt", SEC61_TEXT), files("p.txt", ORIGIN2)]
+    assert main(argv + ["--order", order]) == EXIT_NUMERICAL
+    assert "order must be >= 1" in capsys.readouterr().err
+
+
 def test_solve_success(files, capsys):
     point = "x1 = 1e-6\nx2 = -2e-6\n"
     code, report = run_json(

@@ -19,17 +19,18 @@ from dualdeflate import (
     numerical_rank,
     parse_system,
     predict_order,
-    truncated_deflation_matrix,
 )
-from dualdeflate.deflate import (
-    kernel_vector_to_operator,
-    operator_to_functional,
-    unit_modulus,
+from dualdeflate.deflate import unit_modulus
+from dualdeflate.errors import (
+    AlreadyRegularError,
+    DimensionMismatchError,
+    OrderTooLowError,
 )
-from dualdeflate.errors import AlreadyRegularError, DimensionMismatchError
 
+import oracles
 from corpus import A2_EXAMPLE, CORPUS, EX2, SEC61
 from oracles import (
+    apply_operator,
     brute_derivative,
     monomial_multiply,
     sympy_mixed_derivative,
@@ -107,18 +108,16 @@ def test_second_order_matrix_known_entries():
 def test_truncated_matrix_shapes_and_content():
     F = SEC61.system
     for d in (2, 3):
-        top = truncated_deflation_matrix(F, d, rows="original")
+        top = deflation_matrix(F, d, multiples=False, top=True)
         assert top.shape == (F.nequations, comb(F.nvars + d - 1, F.nvars - 1))
         assert all(sum(b) == d for b in top.col_labels)
-        full = truncated_deflation_matrix(F, d, rows="multiples")
+        full = deflation_matrix(F, d, top=True)
         assert full.shape[0] == F.nequations * comb(F.nvars + d - 1, F.nvars)
         # the truncated entries agree with the full matrix
         A = deflation_matrix(F, d)
         for (alpha, j), row in zip(full.row_labels, full.entries):
             for beta, e in zip(full.col_labels, row):
                 assert e == A.entry(alpha, j, beta)
-    with pytest.raises(ValueError):
-        truncated_deflation_matrix(F, 2, rows="bogus")
 
 
 # -- operators -------------------------------------------------------------
@@ -136,8 +135,7 @@ def test_operator_validation():
     assert Q.nvars == 2
 
 
-def test_operator_apply_matches_brute_derivative():
-    rng = np.random.default_rng(5)
+def test_operator_row_matches_brute_derivative():
     p = Polynomial(2, {(3, 1): 2.0, (1, 2): -1.5, (0, 4): 1j})
     Q = DeflationOperator(2, {(1, 0): 2.0, (1, 1): -1.0, (0, 2): 0.5j})
     expected: dict = {}
@@ -145,23 +143,9 @@ def test_operator_apply_matches_brute_derivative():
         for e, c in brute_derivative(p.terms, beta).items():
             expected[e] = expected.get(e, 0) + lam * c
     expected = {e: c for e, c in expected.items() if c != 0}
-    assert Q.apply(p).terms == pytest.approx(expected)
-
-
-def test_operator_functional_conversion():
-    Q = DeflationOperator(3, {(2, 0, 1): 2.0, (0, 1, 0): -1.0})
-    L = operator_to_functional(Q, (0, 0, 0))
-    # beta! scaling: (2,0,1)! = 2, (0,1,0)! = 1
-    assert L.terms[(2, 0, 1)] == pytest.approx(4.0)
-    assert L.terms[(0, 1, 0)] == pytest.approx(-1.0)
-
-
-def test_kernel_vector_to_operator():
-    Q = kernel_vector_to_operator(
-        np.array([1.0, 0.0, 2.0]), [(2, 0), (1, 1), (0, 2)], 2, homogeneous=True
-    )
-    assert Q.terms == {(2, 0): 1.0, (0, 2): 2.0}
-    assert Q.order == 2 and Q.homogeneous
+    # the first appended row is Q applied to p itself (alpha = 0)
+    aug = deflate_with_operator(PolySystem(2, (p,)), Q, 2)
+    assert aug.system.polys[1].terms == pytest.approx(expected)
 
 
 # -- order prediction ------------------------------------------------------
@@ -224,9 +208,9 @@ def test_first_order_structure_and_root_preservation():
 def test_first_order_lambda_estimate_solves_scaling():
     rng = np.random.default_rng(4)
     aug = deflate_first_order(SEC61.system, SEC61.root, rng=rng)
-    lam = aug.lambda_estimate
-    b = aug.drawn["b"]
-    assert abs(b @ lam - 1) < 1e-10
+    # the appended scaling equation b . lambda - 1 holds at the estimate
+    scaling = aug.system.polys[-1]
+    assert abs(scaling.evaluate(aug.extend_point(SEC61.root))) < 1e-10
 
 
 def test_first_order_regular_point_raises():
@@ -243,12 +227,19 @@ def test_higher_order_structure_and_root_preservation():
         aug = deflate_higher_order(entry.system, d, entry.root, rng=rng)
         F = entry.system
         n, N = F.nvars, F.nequations
-        k = comb(n + d, n) - 1
-        assert aug.multiplier_count == k
-        assert aug.system.nvars == n + k
         A = deflation_matrix(F, d)
         m = aug.system.nequations - N - A.shape[0]
-        assert m >= 1  # corank-many scaling equations
+        if d == 1:
+            # the Jacobian's rows, compressed to r + 1 multipliers below
+            # rank n - 1, and one scaling equation
+            r = numerical_rank(F.jacobian_at(entry.root), scale=F.jacobian_scale()).rank
+            k = n if r == n - 1 else r + 1
+            assert m == 1
+        else:
+            k = comb(n + d, n) - 1
+            assert m >= 1  # corank-many scaling equations
+        assert aug.multiplier_count == k
+        assert aug.system.nvars == n + k
         z = aug.extend_point(entry.root)
         assert aug.system.residual(z) < 1e-10
 
@@ -289,10 +280,9 @@ def test_fixed_operator_augmentation():
     assert aug.multiplier_count == 0
     assert aug.system.nvars == n
     assert aug.system.nequations == N + N * comb(n + 1, n)
-    only = deflate_with_operator(F, Q, 2, multiple_degree=1)
-    assert only.system.nequations == 2 * N
+    # rows follow deflation_matrix: alpha = 0 first, equations inner
     for i in range(N):
-        assert only.system.polys[N + i] == Q.apply(F.polys[i])
+        assert aug.system.polys[N + i] == apply_operator(Q, F.polys[i])
     with pytest.raises(ValueError):
         deflate_with_operator(F, Q, 1)
     Q3 = DeflationOperator(2, {(2, 0, 0): 1.0})
@@ -312,3 +302,101 @@ def test_multiplicity_strictly_decreases(name):
     z = aug.extend_point(entry.root)
     after = dual_space_dz(aug.system, z).multiplicity
     assert after < entry.multiplicity
+
+
+# -- one builder: equal to the separate constructions it replaced -----------
+
+def _assert_builder_matches(F, x, tol, d, seed):
+    """deflate_higher_order against the separate construction for order d."""
+    rng_new = np.random.default_rng(seed)
+    rng_old = np.random.default_rng(seed)
+    if d == 1:
+        old_build = oracles.old_deflate_first_order
+        args = (F, x, tol, rng_old)
+    else:
+        old_build = oracles.old_deflate_higher_order
+        args = (F, d, x, tol, rng_old)
+    try:
+        old = old_build(*args, stage=2)
+    except (AlreadyRegularError, OrderTooLowError) as exc:
+        with pytest.raises(type(exc)):
+            deflate_higher_order(F, d, x, tol, rng_new, stage=2)
+        return
+    new = deflate_higher_order(F, d, x, tol, rng_new, stage=2)
+    assert new.system.polys == old.system.polys, (d, seed)
+    assert repr(new.system.polys) == repr(old.system.polys), (d, seed)
+    assert new.system.var_names == old.system.var_names
+    assert new.lambda_estimate.tobytes() == old.lambda_estimate.tobytes()
+    for attr in ("multiplier_count", "order", "kind", "stage", "n_original"):
+        assert getattr(new, attr) == getattr(old, attr), (attr, d, seed)
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+@pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
+def test_builder_matches_separate_constructions(entry):
+    F, root = entry.system, entry.root
+    d0 = corank_drop_order(F, root, 1e-8)
+    near = root + 1e-6 * (1 + 1j) / np.sqrt(2)
+    for x, tol in ((root, 1e-8), (near, 1e-5)):
+        for d in sorted({1, d0, d0 + 1}):
+            for seed in range(3):
+                _assert_builder_matches(F, x, tol, d, seed)
+    # one stage in, the Jacobian often has rank n - 1, where order 1 keeps
+    # all n multipliers and multiplies by the identity
+    aug = deflate_first_order(F, root, 1e-8, np.random.default_rng(0))
+    for d in (1, 2):
+        for seed in range(3):
+            _assert_builder_matches(aug.system, aug.extend_point(root), 1e-8, d, seed)
+
+
+def test_first_order_is_the_order_one_builder():
+    for entry in (EX2, SEC61, A2_EXAMPLE):
+        a = deflate_first_order(entry.system, entry.root, rng=np.random.default_rng(5))
+        b = deflate_higher_order(
+            entry.system, 1, entry.root, rng=np.random.default_rng(5)
+        )
+        assert repr(a.system.polys) == repr(b.system.polys)
+        assert a.lambda_estimate.tobytes() == b.lambda_estimate.tobytes()
+
+
+@pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
+def test_deflation_matrix_row_and_column_sets_match_separate_functions(entry):
+    F = entry.system
+    for d in (1, 2, 3):
+        pairs = [
+            (deflation_matrix(F, d), oracles.old_deflation_matrix(F, d)),
+            (
+                deflation_matrix(F, d, multiples=False, top=True),
+                oracles.old_truncated_deflation_matrix(F, d, rows="original"),
+            ),
+            (
+                deflation_matrix(F, d, top=True),
+                oracles.old_truncated_deflation_matrix(F, d, rows="multiples"),
+            ),
+        ]
+        for new, old in pairs:
+            assert new.row_labels == old.row_labels
+            assert new.col_labels == old.col_labels
+            assert new.entries == old.entries
+            assert repr(new.entries) == repr(old.entries)
+
+
+@pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
+def test_operator_rows_match_term_by_term_application(entry):
+    F = entry.system
+    n = F.nvars
+    rng = np.random.default_rng(13)
+    for d in (1, 2):
+        betas = deflation_matrix(F, d, multiples=False).col_labels
+        coeffs = unit_modulus(rng, len(betas)) * rng.uniform(0.5, 2.0, len(betas))
+        Q = DeflationOperator(d, dict(zip(betas, coeffs)))
+        new = deflate_with_operator(F, Q, d)
+        old = oracles.old_deflate_with_operator(F, Q, d)
+        assert new.system.nequations == old.system.nequations
+        assert (new.multiplier_count, new.order, new.kind) == (0, d, "fixed-operator")
+        # the same rows, in the same order, up to rounding of the summation
+        for p, q in zip(new.system.polys, old.system.polys):
+            assert p.nvars == q.nvars == n
+            scale = q.max_coeff_magnitude()
+            for a in set(p.terms) | set(q.terms):
+                assert abs(p.terms.get(a, 0) - q.terms.get(a, 0)) <= 1e-12 * scale

@@ -177,9 +177,12 @@ def test_driver_determinism():
         assert sa.system.polys == sb.system.polys
 
 
-def test_driver_multiplicity_before_recorded():
-    result = deflation_driver(
-        EX2.system, [0.0, 0.0], DriverConfig(seed=3), multiplicity=4
-    )
-    assert result.multiplicity_before == 4
-    assert result.final_system.nequations >= EX2.system.nequations
+def test_driver_multiplicity_caps_the_stages():
+    # a known multiplicity mu allows at most mu - 1 stages
+    config = DriverConfig(order_policy="first", seed=1)
+    capped = deflation_driver(SEC61.system, [0, 0], config, multiplicity=2)
+    assert capped.stage_count == 1
+    assert not capped.final_regular
+    free = deflation_driver(SEC61.system, [0, 0], config)
+    assert free.stage_count == 2
+    assert free.final_regular
