@@ -9,8 +9,6 @@ from .poly import (
     Polynomial,
     PolySystem,
     UnivariateSupport,
-    apply_functional,
-    compare_monomials,
     substitute_line,
 )
 from .linalg import (
@@ -19,7 +17,6 @@ from .linalg import (
     least_squares,
     numerical_rank,
     prune_rows,
-    subspace_distance,
 )
 from .dual import (
     DualBasis,
@@ -29,14 +26,12 @@ from .dual import (
     build_sigma,
     dual_space_dz,
     dual_space_st,
-    initial_support,
 )
 from .deflate import (
     AugmentedSystem,
     DeflationOperator,
     OrderPrediction,
     SymbolicMatrix,
-    corank_drop_order,
     deflate_first_order,
     deflate_higher_order,
     deflate_with_operator,
@@ -61,15 +56,12 @@ __all__ = [
     "Polynomial",
     "PolySystem",
     "UnivariateSupport",
-    "apply_functional",
-    "compare_monomials",
     "substitute_line",
     "RankReport",
     "kernel_basis",
     "least_squares",
     "numerical_rank",
     "prune_rows",
-    "subspace_distance",
     "DualBasis",
     "MonomialFrame",
     "MultiplicityReport",
@@ -77,12 +69,10 @@ __all__ = [
     "build_sigma",
     "dual_space_dz",
     "dual_space_st",
-    "initial_support",
     "AugmentedSystem",
     "DeflationOperator",
     "OrderPrediction",
     "SymbolicMatrix",
-    "corank_drop_order",
     "deflate_first_order",
     "deflate_higher_order",
     "deflate_with_operator",

@@ -16,8 +16,9 @@ import numpy as np
 
 from . import __version__
 from .deflate import deflate_higher_order, deflation_matrix, predict_order
-from .dual import dual_space_dz, dual_space_st
+from .dual import DEFAULT_MAX_DEGREE, dual_space_dz, dual_space_st
 from .errors import DimensionMismatchError, DualDeflateError, ParseError
+from .linalg import DEFAULT_RANK_TOL
 from .parsing import parse_point, parse_system, serialize_system
 from .solver import DriverConfig, NewtonOptions, deflation_driver
 
@@ -44,7 +45,7 @@ def _common_flags(p: argparse.ArgumentParser, point: bool = True):
     p.add_argument("system", help="system file ('-' for stdin)")
     if point:
         p.add_argument("point", help="point file")
-    p.add_argument("--tol-rank", type=float, default=1e-8)
+    p.add_argument("--tol-rank", type=float, default=DEFAULT_RANK_TOL)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 
@@ -59,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("multiplicity", help="dual-space multiplicity at a point")
     _common_flags(p)
     p.add_argument("--method", choices=("dz", "st"), default="dz")
-    p.add_argument("--max-degree", type=int, default=16)
+    p.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
 
     p = sub.add_parser("predict-order", help="predict the deflation order")
     _common_flags(p)
@@ -150,11 +151,11 @@ def _run_predict_order(args, report):
     return EXIT_OK
 
 
-def _augmented_report(aug):
+def _augmented_report(aug, stage: int):
     return {
         "kind": aug.kind,
         "order": aug.order,
-        "stage": aug.stage,
+        "stage": stage,
         "multiplier_count": aug.multiplier_count,
         "equations": aug.system.nequations,
         "variables": aug.system.nvars,
@@ -179,7 +180,7 @@ def _run_deflate(args, report):
     else:
         d = policy
     aug = deflate_higher_order(F, d, x0, args.tol_rank, rng)
-    report.update(_augmented_report(aug))
+    report.update(_augmented_report(aug, 1))
     return EXIT_OK
 
 
@@ -198,7 +199,9 @@ def _run_solve(args, report):
     residual = float(np.linalg.norm(F.evaluate(result.refined_point)))
     report.update(
         final_regular=result.final_regular,
-        stages=[_augmented_report(s) for s in result.stages],
+        stages=[
+            _augmented_report(s, k) for k, s in enumerate(result.stages, start=1)
+        ],
         stage_count=result.stage_count,
         per_stage_rank=[
             {"rank": r.rank, "corank": r.corank} for r in result.per_stage_rank
@@ -250,10 +253,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         code = _RUNNERS[args.command](args, report)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ParseError as exc:
+    except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except DimensionMismatchError as exc:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count, islice
 from typing import Sequence
 
 import numpy as np
@@ -48,11 +49,6 @@ class SymbolicMatrix:
     def shape(self) -> tuple[int, int]:
         return (len(self.row_labels), len(self.col_labels))
 
-    def entry(self, alpha: Exponent, j: int, beta: Exponent) -> Polynomial:
-        r = self.row_labels.index((tuple(alpha), j))
-        c = self.col_labels.index(tuple(beta))
-        return self.entries[r][c]
-
     @cached_property
     def _compiled(self) -> _CompiledRows:
         return _CompiledRows([e for row in self.entries for e in row])
@@ -68,7 +64,6 @@ class DeflationOperator:
 
     order: int
     terms: dict[Exponent, complex]
-    homogeneous: bool = False
 
     def __post_init__(self):
         clean = {tuple(b): complex(c) for b, c in self.terms.items() if c != 0}
@@ -78,10 +73,6 @@ class DeflationOperator:
             deg = total_degree(b)
             if deg == 0 or deg > self.order:
                 raise ValueError(f"operator term {b} outside 1..{self.order}")
-            if self.homogeneous and deg != self.order:
-                raise ValueError(
-                    f"homogeneous operator of order {self.order} has term {b}"
-                )
         object.__setattr__(self, "terms", clean)
 
     @property
@@ -97,7 +88,6 @@ class AugmentedSystem:
     n_original: int
     multiplier_count: int
     order: int
-    stage: int
     kind: str
     lambda_estimate: np.ndarray | None = None
 
@@ -110,18 +100,12 @@ class AugmentedSystem:
             raise ValueError("no multiplier estimate available")
         return np.concatenate([x, self.lambda_estimate])
 
-    def project_point(self, z: Sequence[complex]) -> np.ndarray:
-        """Original-variable part of an extended point."""
-        z = _as_vector(z, self.system.nvars, "extended point")
-        return z[: self.n_original]
-
 
 @dataclass(frozen=True)
 class OrderPrediction:
     d: int
     support_degrees: frozenset[int]
     gamma: np.ndarray
-    tol_coeff: float
 
 
 def deflation_matrix(
@@ -166,12 +150,9 @@ def predict_order(
     """
     rng = rng if rng is not None else np.random.default_rng()
     x0 = _as_vector(x0, F.nvars)
-    J = F.jacobian_at(x0)
-    jscale = F.jacobian_scale()
-    report = numerical_rank(J, tol_rank, scale=jscale)
-    if report.corank == 0:
+    K = kernel_basis(F.jacobian_at(x0), tol_rank, scale=F.jacobian_scale())
+    if K.shape[1] == 0:
         raise AlreadyRegularError("Jacobian has full rank; nothing to predict")
-    K = kernel_basis(J, tol_rank, scale=jscale)
     gamma = K @ unit_modulus(rng, K.shape[1])
     gamma = gamma / np.linalg.norm(gamma)
     H = substitute_line(F, x0, gamma)
@@ -182,21 +163,13 @@ def predict_order(
             f"support {sorted(support)} gives no usable order; "
             "the point may be too far from the root or the tolerance too tight"
         )
-    return OrderPrediction(min(support) - 1, frozenset(support), gamma, tol_coeff)
+    return OrderPrediction(min(support) - 1, frozenset(support), gamma)
 
 
 def _extended_names(F: PolySystem, k: int) -> tuple[str, ...]:
-    names = list(F.var_names)
-    taken = set(names)
-    out = []
-    i = 1
-    while len(out) < k:
-        cand = f"l{i}"
-        if cand not in taken:
-            out.append(cand)
-            taken.add(cand)
-        i += 1
-    return tuple(names + out)
+    """F's variable names, then the first k of l1, l2, ... not among them."""
+    fresh = (f"l{i}" for i in count(1) if f"l{i}" not in F.var_names)
+    return F.var_names + tuple(islice(fresh, k))
 
 
 def _weighted_sum(acc: Polynomial, weights, polys) -> Polynomial:
@@ -211,10 +184,9 @@ def deflate_first_order(
     x0: Sequence[complex],
     tol_rank: float = DEFAULT_RANK_TOL,
     rng: np.random.Generator | None = None,
-    stage: int = 1,
 ) -> AugmentedSystem:
     """First-order deflation: ``deflate_higher_order`` at d = 1."""
-    return deflate_higher_order(F, 1, x0, tol_rank, rng, stage)
+    return deflate_higher_order(F, 1, x0, tol_rank, rng)
 
 
 def deflate_higher_order(
@@ -223,7 +195,6 @@ def deflate_higher_order(
     x0: Sequence[complex],
     tol_rank: float = DEFAULT_RANK_TOL,
     rng: np.random.Generator | None = None,
-    stage: int = 1,
 ) -> AugmentedSystem:
     """Order-d deflation with indeterminate multipliers lambda.
 
@@ -289,7 +260,6 @@ def deflate_higher_order(
         n_original=n,
         multiplier_count=k,
         order=d,
-        stage=stage,
         kind="first-order-B" if d == 1 else "higher-order-indeterminate",
         lambda_estimate=lam0,
     )
@@ -319,49 +289,6 @@ def deflate_with_operator(
         n_original=F.nvars,
         multiplier_count=0,
         order=d,
-        stage=1,
         kind="fixed-operator",
     )
-
-
-def corank_drop_order(
-    F: PolySystem,
-    x0: Sequence[complex],
-    tol_rank: float = DEFAULT_RANK_TOL,
-    tol_coeff: float = 1e-8,
-) -> int:
-    """Exact-arithmetic counterpart of order prediction at a known root.
-
-    Restricts F to the kernel subspace of the Jacobian (after shifting the
-    root to the origin) and returns (minimal total degree in the support) - 1.
-    """
-    x0 = _as_vector(x0, F.nvars)
-    J = F.jacobian_at(x0)
-    jscale = F.jacobian_scale()
-    report = numerical_rank(J, tol_rank, scale=jscale)
-    if report.corank == 0:
-        raise AlreadyRegularError("Jacobian has full rank; nothing to deflate")
-    K = kernel_basis(J, tol_rank, scale=jscale)
-    c = K.shape[1]
-    subs = []
-    for i in range(F.nvars):
-        s = Polynomial.constant(c, x0[i])
-        for kk in range(c):
-            s = s + K[i, kk] * Polynomial.variable(c, kk)
-        subs.append(s)
-    degrees: set[int] = set()
-    for f in F.polys:
-        q = f.compose(subs)
-        scale = q.max_coeff_magnitude()
-        if scale == 0:
-            continue
-        degrees.update(
-            total_degree(a) for a, cv in q.items() if abs(cv) > tol_coeff * scale
-        )
-    degrees.discard(0)
-    if not degrees:
-        raise InconclusivePredictionError(
-            "system vanishes on the kernel subspace to working accuracy"
-        )
-    return min(degrees) - 1
 

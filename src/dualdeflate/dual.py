@@ -94,7 +94,6 @@ class MultiplicityReport:
     multiplicity: int
     dual_basis: DualBasis
     initial_support: frozenset[Exponent]
-    order_used: MonomialOrder
     method: str
 
 
@@ -217,6 +216,8 @@ def _dual_space(F, x0, tol, max_d, order, method, condition_matrix):
     R = Q^H M has the same singular values, right singular vectors and row
     space, and the SVD of R builds no square U factor of the tall M.
     """
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     if max_d < 1:
         raise ValueError("max_d must be >= 1")
     rows = _CoefficientRows(F, x0, tol, max_d)
@@ -251,7 +252,7 @@ def _dual_space(F, x0, tol, max_d, order, method, condition_matrix):
     )
     init = frozenset(initial_support_of_elements(elements, order, tol))
     basis = DualBasis(bp, d, elements, tuple(dims))
-    return MultiplicityReport(len(elements), basis, init, order, method)
+    return MultiplicityReport(len(elements), basis, init, method)
 
 
 def _st_matrix(rows: _CoefficientRows, d: int, prev, tol: float) -> np.ndarray:
@@ -329,9 +330,3 @@ def initial_support_of_elements(
         )
     return leading
 
-
-def initial_support(
-    basis: DualBasis, order: MonomialOrder = GRLEX, tol: float = DEFAULT_RANK_TOL
-) -> set[Exponent]:
-    """Initial support of a dual basis, which is also its standard monomials."""
-    return initial_support_of_elements(basis.elements, order, tol)

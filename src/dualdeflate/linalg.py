@@ -21,10 +21,6 @@ class RankReport:
     tol_used: float
     corank: int
 
-    @property
-    def cols(self) -> int:
-        return self.rank + self.corank
-
 
 def _check_finite(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
@@ -35,43 +31,35 @@ def _check_finite(M: np.ndarray) -> np.ndarray:
     return M
 
 
-def _rank_from_spectrum(
-    s: np.ndarray, tol: float, floor: float, scale: float
-) -> int:
-    if s.size == 0 or s[0] < floor:
+def _rank_from_spectrum(s: np.ndarray, tol: float, scale: float) -> int:
+    if s.size == 0 or s[0] < ABSOLUTE_FLOOR:
         return 0
     return int(np.sum(s > tol * max(s[0], scale)))
 
 
 def numerical_rank(
-    M: np.ndarray,
-    tol: float = DEFAULT_RANK_TOL,
-    floor: float = ABSOLUTE_FLOOR,
-    scale: float = 0.0,
+    M: np.ndarray, tol: float = DEFAULT_RANK_TOL, scale: float = 0.0
 ) -> RankReport:
     """Rank = number of singular values above tol * sigma_1.
 
-    A matrix whose largest singular value is below ``floor`` has rank 0.
-    ``scale`` supplies an external reference magnitude (e.g. the coefficient
-    size of the polynomial matrix being evaluated): singular values are then
-    compared against tol * max(sigma_1, scale), so a matrix that is uniformly
-    tiny relative to its natural scale is rank-deficient rather than
-    spuriously full-rank.
+    A matrix whose largest singular value is below ``ABSOLUTE_FLOOR`` has
+    rank 0. ``scale`` supplies an external reference magnitude (e.g. the
+    coefficient size of the polynomial matrix being evaluated): singular
+    values are then compared against tol * max(sigma_1, scale), so a matrix
+    that is uniformly tiny relative to its natural scale is rank-deficient
+    rather than spuriously full-rank.
     """
     M = _check_finite(M)
     if M.size == 0:
         s = np.zeros(0)
         return RankReport(0, s, tol, M.shape[1] if M.ndim == 2 else 0)
     s = np.linalg.svd(M, compute_uv=False)
-    rank = _rank_from_spectrum(s, tol, floor, scale)
+    rank = _rank_from_spectrum(s, tol, scale)
     return RankReport(rank, s, tol, M.shape[1] - rank)
 
 
 def kernel_basis(
-    M: np.ndarray,
-    tol: float = DEFAULT_RANK_TOL,
-    floor: float = ABSOLUTE_FLOOR,
-    scale: float = 0.0,
+    M: np.ndarray, tol: float = DEFAULT_RANK_TOL, scale: float = 0.0
 ) -> np.ndarray:
     """Orthonormal basis of the numerical null space, as columns.
 
@@ -83,7 +71,7 @@ def kernel_basis(
         n = M.shape[1] if M.ndim == 2 else 0
         return np.eye(n, dtype=complex)
     _, s, vh = np.linalg.svd(M)
-    rank = _rank_from_spectrum(s, tol, floor, scale)
+    rank = _rank_from_spectrum(s, tol, scale)
     return vh[rank:].conj().T
 
 
@@ -107,27 +95,7 @@ def prune_rows(M: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     M = _check_finite(M)
     if M.size == 0:
         return M.reshape(0, M.shape[1] if M.ndim == 2 else 0)
-    u, s, vh = np.linalg.svd(M)
-    if s.size == 0 or s[0] < ABSOLUTE_FLOOR:
-        return np.zeros((0, M.shape[1]), dtype=complex)
-    rank = int(np.sum(s > tol * s[0]))
+    _, s, vh = np.linalg.svd(M)
+    rank = _rank_from_spectrum(s, tol, 0.0)
     return (s[:rank, None] * vh[:rank]).astype(complex)
 
-
-def subspace_distance(A: np.ndarray, B: np.ndarray) -> float:
-    """Gap between column spans: the 2-norm of the projector difference.
-
-    Equals the sine of the largest principal angle, computed without the
-    arccos rounding floor, so identical spans measure as ~1e-16.
-    """
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    if A.size == 0 and B.size == 0:
-        return 0.0
-    if A.size == 0 or B.size == 0:
-        return 1.0
-    qa, _ = np.linalg.qr(A)
-    qb, _ = np.linalg.qr(B)
-    Pa = qa @ qa.conj().T
-    Pb = qb @ qb.conj().T
-    return float(np.linalg.norm(Pa - Pb, 2))

@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from typing import Sequence
 
 import numpy as np
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from itertools import product
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -22,14 +23,6 @@ Exponent = tuple[int, ...]
 
 def total_degree(alpha: Exponent) -> int:
     return sum(alpha)
-
-
-def factorial(alpha: Exponent) -> int:
-    """alpha! = alpha_1! * ... * alpha_n!"""
-    out = 1
-    for a in alpha:
-        out *= math.factorial(a)
-    return out
 
 
 def exponent_sub(alpha: Exponent, beta: Exponent) -> Exponent | None:
@@ -67,14 +60,6 @@ class MonomialOrder:
 
 
 GRLEX = MonomialOrder.grlex()
-
-
-def compare_monomials(a: Exponent, b: Exponent, order: MonomialOrder = GRLEX) -> int:
-    """-1, 0, or 1 as a is below, equal to, or above b in the order."""
-    if len(a) != len(b):
-        raise DimensionMismatchError(f"exponent lengths differ: {len(a)} vs {len(b)}")
-    ka, kb = order.key(a), order.key(b)
-    return (ka > kb) - (ka < kb)
 
 
 def _as_vector(pt: Sequence[complex], nvars: int, what: str = "point") -> np.ndarray:
@@ -155,19 +140,6 @@ class Polynomial:
 
     def coefficient(self, alpha: Exponent) -> complex:
         return self._terms.get(tuple(alpha), 0j)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    @property
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(total_degree(a) for a in self._terms)
-
-    def support(self) -> set[Exponent]:
-        return set(self._terms)
 
     def max_coeff_magnitude(self) -> float:
         if not self._terms:
@@ -292,54 +264,31 @@ class Polynomial:
             return Polynomial(self.nvars, terms)
         return Polynomial._trusted(self.nvars, terms)
 
-    def evaluate(self, pt: Sequence[complex]) -> complex:
-        v = _as_vector(pt, self.nvars)
-        total = 0j
-        for alpha in sorted(self._terms, key=GRLEX.key):
-            c = self._terms[alpha]
-            m = 1 + 0j
-            for x, a in zip(v, alpha):
-                if a:
-                    m *= x**a
-            total += c * m
-        return total
-
-    def compose(self, subs: Sequence["Polynomial"]) -> "Polynomial":
-        """Substitute subs[i] for variable i; all subs share a variable count."""
-        if len(subs) != self.nvars:
-            raise DimensionMismatchError(
-                f"{len(subs)} substitutions for {self.nvars} variables"
-            )
-        m = subs[0].nvars if subs else 0
-        # powers computed lazily per variable
-        pow_cache: list[dict[int, Polynomial]] = [
-            {0: Polynomial.constant(m, 1)} for _ in subs
-        ]
-
-        def power(i: int, k: int) -> Polynomial:
-            cache = pow_cache[i]
-            if k not in cache:
-                cache[k] = power(i, k - 1) * subs[i]
-            return cache[k]
-
-        out = Polynomial.zero(m)
-        for alpha, c in self._terms.items():
-            term = Polynomial.constant(m, c)
-            for i, a in enumerate(alpha):
-                if a:
-                    term = term * power(i, a)
-            out = out + term
-        return out
-
     def shift(self, basepoint: Sequence[complex]) -> "Polynomial":
-        """Return q(y) = p(y + basepoint)."""
-        v = _as_vector(basepoint, self.nvars, "basepoint")
-        subs = [
-            Polynomial(self.nvars, {tuple(int(i == j) for j in range(self.nvars)): 1})
-            + Polynomial.constant(self.nvars, v[i])
-            for i in range(self.nvars)
-        ]
-        return self.compose(subs)
+        """Return q(y) = p(y + basepoint).
+
+        Each term c x^alpha expands binomially into c prod_i sum_k
+        C(alpha_i, k) v_i^(alpha_i - k) y_i^k, and the expansions of all
+        terms are collected into one coefficient map.
+        """
+        v = _as_vector(basepoint, self.nvars, "basepoint").tolist()
+        rows: dict[tuple[int, int], list[tuple[int, complex]]] = {}
+        out: dict[Exponent, complex] = {}
+        for alpha, c in self._terms.items():
+            for i, a in enumerate(alpha):
+                if (i, a) not in rows:
+                    rows[i, a] = [
+                        (k, w)
+                        for k in range(a + 1)
+                        if (w := math.comb(a, k) * v[i] ** (a - k)) != 0
+                    ]
+            for picks in product(*(rows[i, a] for i, a in enumerate(alpha))):
+                coef = c
+                for _, w in picks:
+                    coef *= w
+                key = tuple(k for k, _ in picks)
+                out[key] = out.get(key, 0) + coef
+        return Polynomial._trusted(self.nvars, out)
 
     def embed(self, nvars: int, offset: int = 0) -> "Polynomial":
         """View in a larger variable set, variable i becoming i + offset."""
@@ -408,8 +357,9 @@ def _complex_multiply(a: np.ndarray, b_blocks: np.ndarray, out: np.ndarray) -> N
 class _CompiledRows:
     """Polynomials laid out as flat arrays, built once for many evaluations.
 
-    ``evaluate(v)`` gives the same bits as ``[p.evaluate(v) for p in rows]``
-    because it performs the same float operations in the same order: a
+    ``evaluate(v)`` gives the same bits as the term-by-term reference
+    evaluation of the tests (``tests/oracles.py``), because it performs the
+    same float operations in the same order: a
     monomial is the product of its factors x_i**a_i with a_i != 0, in
     variable order, starting from 1; a term is its coefficient times its
     monomial; each row adds its terms one at a time in grlex order, starting
@@ -548,13 +498,6 @@ class PolySystem:
         vals = np.abs(self.evaluate(pt)) / self.coeff_scales()
         return float(vals.max())
 
-    def shift(self, basepoint: Sequence[complex]) -> "PolySystem":
-        return PolySystem(
-            self.nvars,
-            tuple(p.shift(basepoint) for p in self.polys),
-            self.var_names,
-        )
-
 
 @dataclass(frozen=True)
 class UnivariateSupport:
@@ -658,26 +601,3 @@ class Functional:
     def delta(cls, nvars: int, alpha: Exponent, basepoint=None) -> "Functional":
         bp = basepoint if basepoint is not None else (0,) * nvars
         return cls(nvars, {tuple(alpha): 1}, tuple(bp))
-
-    def support(self) -> set[Exponent]:
-        return set(self.terms)
-
-    def leading_exponent(self, order: MonomialOrder = GRLEX) -> Exponent:
-        return max(self.terms, key=order.key)
-
-    def apply(self, p: Polynomial) -> complex:
-        return apply_functional(self, p)
-
-
-def apply_functional(L: Functional, p: Polynomial) -> complex:
-    """sum_alpha c_alpha * (1/alpha!) * (d^alpha p)(basepoint)."""
-    if L.nvars != p.nvars:
-        raise DimensionMismatchError(
-            f"functional in {L.nvars} variables applied to polynomial in {p.nvars}"
-        )
-    bp = np.array(L.basepoint, dtype=complex)
-    total = 0j
-    for alpha in sorted(L.terms, key=GRLEX.key):
-        c = L.terms[alpha]
-        total += c * p.diff(alpha).evaluate(bp) / factorial(alpha)
-    return total

@@ -24,27 +24,23 @@ from .linalg import DEFAULT_RANK_TOL, RankReport, least_squares, numerical_rank
 from .poly import PolySystem, _as_vector
 
 
+def _check_unit_interval(settings, *names: str) -> None:
+    for name in names:
+        v = getattr(settings, name)
+        if not 0 < v < 1:
+            raise ValueError(f"{name} must lie in (0, 1), got {v}")
+
+
 @dataclass(frozen=True)
 class NewtonOptions:
-    """Settings for the least-squares Newton iteration.
+    """Settings for the least-squares Newton iteration (see gauss_newton)."""
 
-    ``tol_residual`` is a reporting threshold only: iteration stops on the
-    step-size criterion (or ``max_iters``), never on the residual, because
-    near a multiple root the residual of a degree-k equation is the k-th
-    power of the distance to the root and passes any absolute threshold
-    while the point is still far away.
-    """
-
-    tol_residual: float = 1e-12
     tol_step: float = 1e-14
     max_iters: int = 60
     tol_rank: float = DEFAULT_RANK_TOL
 
     def __post_init__(self):
-        for name in ("tol_residual", "tol_step", "tol_rank"):
-            v = getattr(self, name)
-            if not 0 < v < 1:
-                raise ValueError(f"{name} must lie in (0, 1), got {v}")
+        _check_unit_interval(self, "tol_step", "tol_rank")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -141,11 +137,16 @@ class DriverConfig:
     newton: NewtonOptions = field(default_factory=NewtonOptions)
 
     def __post_init__(self):
-        if isinstance(self.order_policy, int):
+        if type(self.order_policy) is int:  # a bool is not an order
             if self.order_policy < 1:
                 raise ValueError("fixed deflation order must be >= 1")
         elif self.order_policy not in ("auto", "first"):
             raise ValueError(f"unknown order policy {self.order_policy!r}")
+        _check_unit_interval(self, "tol_rank", "tol_coeff")
+        if not 0 < self.tol_root < np.inf:
+            raise ValueError(f"tol_root must be positive and finite, got {self.tol_root}")
+        if self.max_stages < 0:
+            raise ValueError(f"max_stages must be >= 0, got {self.max_stages}")
 
 
 @dataclass(frozen=True)
@@ -233,16 +234,11 @@ def deflation_driver(
         d = _choose_order(current, point, config, rng, tol_eff)
         if config.order_policy != "first":
             d += escalate
-        stage_no = len(stages) + 1
         try:
             if d <= 1:
-                aug = deflate_first_order(
-                    current, point, tol_eff, rng, stage=stage_no
-                )
+                aug = deflate_first_order(current, point, tol_eff, rng)
             else:
-                aug = deflate_higher_order(
-                    current, d, point, tol_eff, rng, stage=stage_no
-                )
+                aug = deflate_higher_order(current, d, point, tol_eff, rng)
         except OrderTooLowError:
             escalate += 1
             failed_attempts += 1

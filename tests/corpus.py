@@ -19,7 +19,7 @@ import numpy as np
 
 from dualdeflate import Polynomial, PolySystem, parse_system
 
-from oracles import staircase_count
+from oracles import compose, staircase_count
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ def monomial_ideal_entry(
                 )
         subs.append(s)
     polys = [
-        Polynomial.monomial(nvars, g).compose(subs) for g in generators
+        compose(Polynomial.monomial(nvars, g), subs) for g in generators
     ]
     for k in range(1, len(polys)):
         for j in range(k):

@@ -5,8 +5,13 @@ are taken either term-by-term on raw exponent dictionaries or through sympy,
 and multiplicities of monomial ideals are counted by brute-force staircase
 enumeration. Keeping these separate from the library is what makes the
 cross-checks meaningful. The exceptions are plain earlier forms of faster
-code in the package, kept as references for it: ``mdz_by_lookup``, the
-per-entry construction that the vectorised assembly must match bit for bit;
+code in the package, kept as references for it: ``evaluate``, the
+term-by-term evaluation that the compiled ``PolySystem`` and
+``SymbolicMatrix`` evaluation must match bit for bit; ``compose``, the
+substitution through polynomial products that ``Polynomial.shift`` must
+match; ``corank_drop_order``, the exact deflation order at a known root that
+order prediction must find; ``mdz_by_lookup``, the per-entry construction
+that the vectorised assembly must match bit for bit;
 ``dual_space_uncompressed``, the degree loop that hands each scaled matrix
 to the SVD whole; ``initial_support_by_scan``, the column-by-column,
 row-by-row reduction; and the three separate deflation constructions with
@@ -35,6 +40,7 @@ from dualdeflate.errors import (
     AlreadyRegularError,
     DegenerateBasisError,
     DimensionMismatchError,
+    InconclusivePredictionError,
     OrderTooLowError,
 )
 from dualdeflate.linalg import kernel_basis, least_squares, numerical_rank
@@ -119,6 +125,106 @@ def apply_functional_oracle(
     return total
 
 
+def evaluate(p: Polynomial, pt: Sequence[complex]) -> complex:
+    """p at pt: the monomials as products of powers x_i**a_i, in variable
+    order from 1, each times its coefficient, added in grlex order from 0."""
+    v = _as_vector(pt, p.nvars)
+    terms = p.terms
+    total = 0j
+    for alpha in sorted(terms, key=GRLEX.key):
+        c = terms[alpha]
+        m = 1 + 0j
+        for x, a in zip(v, alpha):
+            if a:
+                m *= x**a
+        total += c * m
+    return total
+
+
+def compose(p: Polynomial, subs: Sequence[Polynomial]) -> Polynomial:
+    """Substitute subs[i] for variable i; all subs share a variable count."""
+    assert len(subs) == p.nvars
+    m = subs[0].nvars
+    out = Polynomial.zero(m)
+    for alpha, c in p.items():
+        term = Polynomial.constant(m, c)
+        for s, a in zip(subs, alpha):
+            if a:
+                term = term * s**a
+        out = out + term
+    return out
+
+
+def shift_by_compose(p: Polynomial, basepoint: Sequence[complex]) -> Polynomial:
+    """p(y + basepoint), by substituting y_i + v_i for x_i."""
+    y = [Polynomial.variable(p.nvars, i) for i in range(p.nvars)]
+    return compose(p, [yi + v for yi, v in zip(y, basepoint)])
+
+
+def subspace_distance(A: np.ndarray, B: np.ndarray) -> float:
+    """Gap between column spans: the 2-norm of the projector difference.
+
+    Equals the sine of the largest principal angle, computed without the
+    arccos rounding floor, so identical spans measure as ~1e-16.
+    """
+    A = np.asarray(A, dtype=complex)
+    B = np.asarray(B, dtype=complex)
+    if A.size == 0 and B.size == 0:
+        return 0.0
+    if A.size == 0 or B.size == 0:
+        return 1.0
+    qa, _ = np.linalg.qr(A)
+    qb, _ = np.linalg.qr(B)
+    Pa = qa @ qa.conj().T
+    Pb = qb @ qb.conj().T
+    return float(np.linalg.norm(Pa - Pb, 2))
+
+
+def symbolic_entry(A: SymbolicMatrix, alpha, j: int, beta) -> Polynomial:
+    """The entry of A in row (alpha, j) and column beta."""
+    r = A.row_labels.index((tuple(alpha), j))
+    return A.entries[r][A.col_labels.index(tuple(beta))]
+
+
+def corank_drop_order(
+    F: PolySystem,
+    x0: Sequence[complex],
+    tol_rank: float = 1e-8,
+    tol_coeff: float = 1e-8,
+) -> int:
+    """Exact-arithmetic counterpart of order prediction at a known root.
+
+    Restricts F to the kernel subspace of the Jacobian (after shifting the
+    root to the origin) and returns (minimal total degree in the support) - 1.
+    """
+    x0 = _as_vector(x0, F.nvars)
+    K = kernel_basis(F.jacobian_at(x0), tol_rank, scale=F.jacobian_scale())
+    if K.shape[1] == 0:
+        raise AlreadyRegularError("Jacobian has full rank; nothing to deflate")
+    # x_i = x0_i + sum_k K[i, k] y_k over coordinates y of the kernel
+    c = K.shape[1]
+    y = [Polynomial.variable(c, k) for k in range(c)]
+    subs = [
+        sum((y[k] * K[i, k] for k in range(c)), Polynomial.constant(c, x0[i]))
+        for i in range(F.nvars)
+    ]
+    degrees: set[int] = set()
+    for f in F.polys:
+        q = compose(f, subs)
+        scale = q.max_coeff_magnitude()
+        if scale == 0:
+            continue
+        degrees.update(
+            total_degree(a) for a, cv in q.items() if abs(cv) > tol_coeff * scale
+        )
+    degrees.discard(0)
+    if not degrees:
+        raise InconclusivePredictionError(
+            "system vanishes on the kernel subspace to working accuracy"
+        )
+    return min(degrees) - 1
+
+
 def mdz_by_lookup(shifted, n: int, d: int) -> np.ndarray:
     """The degree-d DZ matrix built one cell at a time.
 
@@ -174,7 +280,7 @@ def initial_support_by_scan(elements, order=GRLEX, tol: float = 1e-8) -> set:
     if not elements:
         raise DegenerateBasisError("empty functional basis")
     support = sorted(
-        {a for L in elements for a in L.support()}, key=order.key, reverse=True
+        {a for L in elements for a in L.terms}, key=order.key, reverse=True
     )
     A = np.array(
         [[L.terms.get(a, 0j) for a in support] for L in elements], dtype=complex
@@ -243,8 +349,9 @@ def staircase_count(generators: Sequence[tuple], nvars: int) -> int:
 
 # -- the separate deflation constructions the one builder replaced ----------
 # Function bodies copied unchanged, apart from the ``old_`` names,
-# ``OldAugmentedSystem`` (which keeps the ``drawn`` field) and
-# ``apply_operator`` standing in for the removed ``DeflationOperator.apply``.
+# ``OldAugmentedSystem`` (which keeps the ``drawn`` field), the dropped
+# ``stage`` number and ``apply_operator`` standing in for the removed
+# ``DeflationOperator.apply``.
 
 
 def apply_operator(Q, p: Polynomial) -> Polynomial:
@@ -261,7 +368,6 @@ class OldAugmentedSystem:
     n_original: int
     multiplier_count: int
     order: int
-    stage: int
     kind: str
     drawn: dict
     lambda_estimate: np.ndarray | None = None
@@ -310,7 +416,7 @@ def old_truncated_deflation_matrix(
     return SymbolicMatrix(tuple(row_labels), cols, tuple(entries))
 
 
-def old_deflate_first_order(F, x0, tol_rank=1e-8, rng=None, stage=1):
+def old_deflate_first_order(F, x0, tol_rank=1e-8, rng=None):
     rng = rng if rng is not None else np.random.default_rng()
     x0 = _as_vector(x0, F.nvars)
     n, N = F.nvars, F.nequations
@@ -363,14 +469,13 @@ def old_deflate_first_order(F, x0, tol_rank=1e-8, rng=None, stage=1):
         n_original=n,
         multiplier_count=k,
         order=1,
-        stage=stage,
         kind="first-order-B",
         drawn={"B": B, "b": b},
         lambda_estimate=lam0,
     )
 
 
-def old_deflate_higher_order(F, d, x0, tol_rank=1e-8, rng=None, stage=1):
+def old_deflate_higher_order(F, d, x0, tol_rank=1e-8, rng=None):
     if d < 1:
         raise ValueError("deflation order must be >= 1")
     rng = rng if rng is not None else np.random.default_rng()
@@ -418,23 +523,21 @@ def old_deflate_higher_order(F, d, x0, tol_rank=1e-8, rng=None, stage=1):
         n_original=n,
         multiplier_count=k,
         order=d,
-        stage=stage,
         kind="higher-order-indeterminate",
         drawn={"b": b},
         lambda_estimate=lam0,
     )
 
 
-def old_deflate_with_operator(F, Q, d, multiple_degree=None):
+def old_deflate_with_operator(F, Q, d):
     if Q.order > d:
         raise ValueError(f"operator order {Q.order} exceeds deflation order {d}")
     if Q.nvars != F.nvars:
         raise DimensionMismatchError(
             f"operator in {Q.nvars} variables, system in {F.nvars}"
         )
-    bound = d if multiple_degree is None else multiple_degree
     polys = list(F.polys)
-    for alpha in MonomialFrame.build(F.nvars, bound - 1).exponents:
+    for alpha in MonomialFrame.build(F.nvars, d - 1).exponents:
         for f in F.polys:
             polys.append(apply_operator(Q, f.monomial_multiply(alpha)))
     system = PolySystem(F.nvars, tuple(polys), F.var_names)
@@ -443,7 +546,6 @@ def old_deflate_with_operator(F, Q, d, multiple_degree=None):
         n_original=F.nvars,
         multiplier_count=0,
         order=d,
-        stage=1,
         kind="fixed-operator",
         drawn={},
         lambda_estimate=None,

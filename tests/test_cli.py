@@ -133,6 +133,21 @@ def test_solve_failure_exit_code(files, capsys):
     assert report["final_regular"] is False
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--max-stages", "-1"], "max_stages must be >= 0"),
+        (["solve", "--tol-coeff", "-1"], "tol_coeff must lie in (0, 1)"),
+        (["multiplicity", "--tol-rank", "-1"], "tol must lie in (0, 1)"),
+    ],
+)
+def test_out_of_range_setting_exit_code(files, capsys, argv, message):
+    command, *flags = argv
+    point = files("p.txt", ORIGIN2)
+    assert main([command, files("s.txt", SEC61_TEXT), point, *flags]) == EXIT_NUMERICAL
+    assert message in capsys.readouterr().err
+
+
 def test_solve_determinism(files, capsys):
     argv = [
         "solve",

@@ -14,14 +14,11 @@ from dualdeflate import (
     MonomialOrder,
     Polynomial,
     PolySystem,
-    apply_functional,
     build_mdz,
     build_sigma,
     dual_space_dz,
     dual_space_st,
-    initial_support,
     parse_system,
-    subspace_distance,
 )
 from dualdeflate.dual import _frame_index, _mdz_index, initial_support_of_elements
 from dualdeflate.errors import (
@@ -39,6 +36,7 @@ from oracles import (
     initial_support_by_scan,
     mdz_by_lookup,
     monomial_multiply,
+    subspace_distance,
 )
 from test_evaluation import systems_and_points
 
@@ -184,6 +182,13 @@ def test_dual_space_rejects_nan_point(method):
         method(EX2.system, [np.nan, 0.0])
 
 
+@pytest.mark.parametrize("method", [dual_space_dz, dual_space_st])
+@pytest.mark.parametrize("tol", [-1.0, 0.0, 1.0, float("nan")])
+def test_dual_space_rejects_tol_outside_unit_interval(method, tol):
+    with pytest.raises(ValueError, match="tol must lie in"):
+        method(EX2.system, EX2.root, tol=tol)
+
+
 # -- anti-derivation blocks ------------------------------------------------
 
 def test_sigma_maps_basis_vectors():
@@ -260,7 +265,8 @@ def test_dual_basis_annihilates_multiples(entry):
                 ) ** e
             g = shifted_mono * f
             for L in report.dual_basis.elements:
-                assert abs(apply_functional(L, g)) < 1e-6 * scale
+                value = apply_functional_oracle(L.terms, L.basepoint, g.terms)
+                assert abs(value) < 1e-6 * scale
 
 
 def assert_matches_uncompressed(report, F, x0):
@@ -393,16 +399,16 @@ def test_regular_root_multiplicity_one():
 # -- initial supports ------------------------------------------------------
 
 def test_initial_support_ex2():
-    report = dual_space_dz(EX2.system, EX2.root)
-    init = initial_support(report.dual_basis)
+    init = dual_space_dz(EX2.system, EX2.root).initial_support
     # basis spans {D00, D10, D01, D20 + D02}: under graded lex the mixed
     # element leads with (2,0)
     assert init == {(0, 0), (1, 0), (0, 1), (2, 0)}
 
 
 def test_initial_support_ex1_weighted():
-    report = dual_space_dz(EX1.system, EX1.root)
-    init = initial_support(report.dual_basis, MonomialOrder.weighted((2, 1)))
+    order = MonomialOrder.weighted((2, 1))
+    report = dual_space_dz(EX1.system, EX1.root, order=order)
+    init = report.initial_support
     expected = {
         (i, j) for i in range(4) for j in range(4) if i + j <= 3
     } - {(0, 3)} | {(4, 0)}

@@ -1,9 +1,9 @@
 """Compiled evaluation of systems against the per-polynomial reference.
 
 ``PolySystem`` and ``SymbolicMatrix`` evaluate through arrays compiled once
-per instance; ``Polynomial.evaluate`` is the reference. The two must agree
-bit for bit, not only to a tolerance, because the Newton iterates, rank
-decisions and driver outcomes all follow from these values.
+per instance; ``evaluate`` in ``tests/oracles.py`` is the reference. The two
+must agree bit for bit, not only to a tolerance, because the Newton iterates,
+rank decisions and driver outcomes all follow from these values.
 """
 
 import numpy as np
@@ -20,6 +20,7 @@ from dualdeflate import (
 )
 
 from corpus import CORPUS, EX2
+from oracles import evaluate
 
 
 def same_bits(a, b) -> bool:
@@ -28,9 +29,9 @@ def same_bits(a, b) -> bool:
 
 
 def assert_matches_reference(F: PolySystem, x: np.ndarray) -> None:
-    values = [p.evaluate(x) for p in F.polys]
+    values = [evaluate(p, x) for p in F.polys]
     partials = [[p.diff_once(j) for j in range(F.nvars)] for p in F.polys]
-    jacobian = [[d.evaluate(x) for d in row] for row in partials]
+    jacobian = [[evaluate(d, x) for d in row] for row in partials]
     scale = max([1.0] + [d.max_coeff_magnitude() for row in partials for d in row])
     assert same_bits(F.evaluate(x), values)
     assert same_bits(F.jacobian_at(x), jacobian)
@@ -60,7 +61,7 @@ def test_corpus_system_matches_reference(entry):
 def test_symbolic_matrix_matches_reference(entry):
     A = deflation_matrix(entry.system, 2)
     for x in points_near(entry.root, 1):
-        expected = [[e.evaluate(x) for e in row] for row in A.entries]
+        expected = [[evaluate(e, x) for e in row] for row in A.entries]
         assert same_bits(A.evaluate(x), expected)
 
 

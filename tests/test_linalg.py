@@ -11,7 +11,8 @@ from dualdeflate import (
     numerical_rank,
     prune_rows,
 )
-from dualdeflate.linalg import subspace_distance
+
+from oracles import subspace_distance
 
 
 def engineered_matrix(rng, m, n, rank, noise=0.0):
@@ -40,7 +41,6 @@ def test_rank_of_engineered_matrices():
         report = numerical_rank(M, tol=1e-8)
         assert report.rank == r, (trial, m, n, r)
         assert report.corank == n - r
-        assert report.cols == n
 
 
 def test_kernel_is_orthonormal_and_annihilated():

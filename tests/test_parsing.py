@@ -113,9 +113,9 @@ def test_serialize_parse_roundtrip(nvars, term_maps):
     polys = tuple(
         Polynomial(nvars, {k[:nvars]: v for k, v in m.items()}) for m in term_maps
     )
-    if any(p.is_zero() for p in polys):
+    if any(not p.terms for p in polys):
         polys = tuple(
-            p + Polynomial.constant(nvars, 1) if p.is_zero() else p for p in polys
+            p + Polynomial.constant(nvars, 1) if not p.terms else p for p in polys
         )
     F = PolySystem(nvars, polys)
     G = parse_system(serialize_system(F))

@@ -21,13 +21,28 @@ def test_newton_options_validation():
     with pytest.raises(ValueError):
         NewtonOptions(tol_step=0.0)
     with pytest.raises(ValueError):
-        NewtonOptions(tol_residual=2.0)
+        NewtonOptions(tol_rank=2.0)
     with pytest.raises(ValueError):
         NewtonOptions(max_iters=0)
     with pytest.raises(ValueError):
         DriverConfig(order_policy="sometimes")
     with pytest.raises(ValueError):
         DriverConfig(order_policy=0)
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"tol_rank": -1.0}, {"tol_rank": 1.0}, {"tol_coeff": -1.0}, {"tol_coeff": 0.0},
+        {"tol_root": 0.0}, {"tol_root": float("inf")}, {"tol_root": float("nan")},
+        {"max_stages": -1}, {"order_policy": True},
+    ],
+    ids=str,
+)
+def test_driver_config_rejects_out_of_range_settings(setting):
+    with pytest.raises(ValueError):
+        DriverConfig(**setting)
+    DriverConfig(max_stages=0, tol_root=10.0)  # the edges that stay valid
 
 
 def test_newton_regular_root_quadratic():
