@@ -20,7 +20,13 @@ from .errors import (
     OrderTooLowError,
 )
 from .dual import MonomialFrame
-from .linalg import DEFAULT_RANK_TOL, kernel_basis, least_squares, numerical_rank
+from .linalg import (
+    DEFAULT_RANK_TOL,
+    _check_unit_interval,
+    kernel_basis,
+    least_squares,
+    numerical_rank,
+)
 from .poly import (
     Exponent,
     Polynomial,
@@ -148,6 +154,7 @@ def predict_order(
     exceed tol_coeff relative to the per-equation maximum, and returns
     min(support) - 1.
     """
+    _check_unit_interval(tol_rank=tol_rank, tol_coeff=tol_coeff)
     rng = rng if rng is not None else np.random.default_rng()
     x0 = _as_vector(x0, F.nvars)
     K = kernel_basis(F.jacobian_at(x0), tol_rank, scale=F.jacobian_scale())
@@ -207,6 +214,7 @@ def deflate_higher_order(
     """
     if d < 1:
         raise ValueError("deflation order must be >= 1")
+    _check_unit_interval(tol_rank=tol_rank)
     rng = rng if rng is not None else np.random.default_rng()
     x0 = _as_vector(x0, F.nvars)
     n = F.nvars

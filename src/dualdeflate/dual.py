@@ -2,8 +2,9 @@
 
 Two incremental constructions are provided: one builds the full matrix of
 monomial-multiple conditions per degree, the other reuses the previous
-degree through anti-derivation closedness blocks and row pruning. Both
-return the same space; the cross-check is part of the test suite.
+degree through the closedness condition, solving only over the candidates
+that the previous degree's space allows. Both return the same space; the
+cross-check is part of the test suite.
 
 All row monomials and functionals are taken in coordinates shifted so the
 basepoint is the origin, which turns every matrix entry into a coefficient
@@ -27,7 +28,8 @@ from .errors import (
     NonIsolatedSuspectError,
     NotARootError,
 )
-from .linalg import DEFAULT_RANK_TOL, kernel_basis, prune_rows
+from .linalg import DEFAULT_RANK_TOL, _check_unit_interval, kernel_basis
+from .linalg import prune_rows  # noqa: F401  (bench/tracer.py patches dual.prune_rows)
 from .poly import (
     GRLEX,
     Exponent,
@@ -128,6 +130,20 @@ def _mdz_index(n: int, d: int) -> np.ndarray:
     return T
 
 
+@lru_cache(maxsize=None)
+def _integral_index(n: int, d: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """U[j, g]: frame(d) index of gamma_g + e_j over the exponents gamma_g of
+    frame(d - 1); Z[j]: the g whose gamma_g is zero before component j, which
+    integral_j maps to gamma_g + e_j rather than to zero."""
+    A = MonomialFrame.build(n, d - 1).array
+    U = np.stack([_frame_index(lambda i: A[:, i] + (i == j), n, d) for j in range(n)])
+    head = np.cumsum(A, axis=1) - A  # the sum of the components before each
+    Z = tuple(np.flatnonzero(head[:, j] == 0) for j in range(n))
+    for a in (U, *Z):
+        a.flags.writeable = False
+    return U, Z
+
+
 class _CoefficientRows:
     """The generators shifted to the root, each term placed by frame index."""
 
@@ -207,27 +223,29 @@ def _scale_rows(M: np.ndarray) -> np.ndarray:
     return M / mags[:, None]
 
 
-def _dual_space(F, x0, tol, max_d, order, method, condition_matrix):
+def _dual_space(F, x0, tol, max_d, order, method, conditions):
     """The degree loop of both methods: stop when the kernel stops growing.
 
-    ``condition_matrix(rows, d, prev, tol)`` builds the degree-d matrix;
-    ``prev`` is the matrix of degree d - 1 as handed to the SVD, None at d = 1.
-    A tall matrix is handed over as the R factor of its QR decomposition:
-    R = Q^H M has the same singular values, right singular vectors and row
-    space, and the SVD of R builds no square U factor of the tall M.
+    ``conditions(rows, d, K)`` gives the degree-d matrix and the orthonormal
+    candidates Q it is taken over, or None for the whole frame; ``K`` is the
+    orthonormal kernel of degree d - 1 over frame(d - 1) without D_0. A tall
+    matrix is handed over as the R factor of its QR decomposition: R = Q^H M
+    has the same singular values, right singular vectors and row space, and
+    the SVD of R builds no square U factor of the tall M.
     """
-    if not 0 < tol < 1:
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
+    _check_unit_interval(tol=tol)
     if max_d < 1:
         raise ValueError("max_d must be >= 1")
     rows = _CoefficientRows(F, x0, tol, max_d)
-    dims, M = [1], None
+    dims, K = [1], np.zeros((0, 0), dtype=complex)
     for d in range(1, max_d + 1):
-        M = _scale_rows(condition_matrix(rows, d, M, tol))
+        M, Q = conditions(rows, d, K)
         if M.shape[0] > M.shape[1]:
             M = np.linalg.qr(M, mode="r")
-        kernel = kernel_basis(M, tol)
-        dims.append(1 + kernel.shape[1])
+        K = kernel_basis(M, tol)
+        if Q is not None:
+            K = Q @ K
+        dims.append(1 + K.shape[1])
         if dims[-1] < dims[-2]:
             warnings.warn(
                 "dual-space dimension decreased from degree "
@@ -248,19 +266,59 @@ def _dual_space(F, x0, tol, max_d, order, method, condition_matrix):
     cols = MonomialFrame.build(n, d).nonzero()
     elements = (Functional.delta(n, (0,) * n, bp),) + tuple(
         Functional._trusted(n, {a: c for a, c in zip(cols, v) if c}, bp)
-        for v in kernel.T.tolist()
+        for v in K.T.tolist()
     )
     init = frozenset(initial_support_of_elements(elements, order, tol))
     basis = DualBasis(bp, d, elements, tuple(dims))
     return MultiplicityReport(len(elements), basis, init, method)
 
 
-def _st_matrix(rows: _CoefficientRows, d: int, prev, tol: float) -> np.ndarray:
-    """The generators over frame(d), then prev, pruned, through each sigma_j."""
-    blocks = [rows.over_frame(d)[:, 1:-1]]
-    if prev is not None and (pruned := prune_rows(prev, tol)).shape[0] > 0:
-        blocks += [pruned @ build_sigma(j, d, rows.n) for j in range(1, rows.n + 1)]
-    return np.vstack(blocks)
+def _dz_conditions(rows: _CoefficientRows, d: int, K) -> tuple[np.ndarray, None]:
+    return _scale_rows(rows.mdz(d)), None
+
+
+def _st_conditions(rows: _CoefficientRows, d: int, K: np.ndarray):
+    """The closedness conditions at degree d, over the candidates they allow.
+
+    For L without a D_0 term, L = sum_j integral_j sigma_j L, where
+    integral_j maps D_gamma to D_(gamma + e_j) if gamma is zero before
+    component j, and to zero otherwise. As sigma_j L lies in span(D_0, K),
+    the candidates for variable j are integral_j of an orthonormal basis of
+    span(D_0, K) restricted to the gammas zero before j: at most n dim
+    D_(d-1) columns in all, with disjoint supports, so orthonormal together.
+    A Householder QR gives each basis without a rank decision; its span may
+    exceed the restriction's, which only adds candidates. They are fewer
+    than the frame's B(d) - 1 exactly when K does not span frame(d - 1);
+    when it does, every L is closed and the generators alone are the
+    conditions, over the frame (Q is None).
+
+    Rows: the generators over frame(d), row-scaled, then (I - K K^H) sigma_j
+    for each j, unscaled: row-scaling the rows of a projector amplifies
+    roundoff in its near-zero rows.
+    """
+    G = _scale_rows(rows.over_frame(d)[:, 1:-1])
+    if K.shape[0] == K.shape[1]:
+        return G, None
+    n, size = rows.n, MonomialFrame.build(rows.n, d).size
+    U, Z = _integral_index(n, d)
+    Kx = np.zeros((K.shape[0] + 1, K.shape[1] + 1), dtype=complex)
+    Kx[0, 0], Kx[1:, 1:] = 1, K  # span(D_0, K) over frame(d - 1)
+    widths = [min(len(z), Kx.shape[1]) for z in Z]
+    Q, c = np.zeros((size, sum(widths)), dtype=complex), 0
+    for j, (z, w) in enumerate(zip(Z, widths)):
+        if j == 0:
+            B = Kx
+        elif w == len(z):  # C^w itself spans the restriction
+            B = np.eye(w)
+        else:
+            B = np.linalg.qr(Kx[z])[0]
+        Q[U[j, z], c : c + w] = B
+        c += w
+    Kh = K.conj().T
+    # sigma_j Q without its D_0 row; sigma_1 Q = [0 K 0], which is closed
+    X = [Q[U[j, 1:]] for j in range(1, n)]
+    M = np.vstack([G @ Q[1:]] + [Y - K @ (Kh @ Y) for Y in X])
+    return M, Q[1:]
 
 
 def dual_space_dz(
@@ -271,7 +329,7 @@ def dual_space_dz(
     order: MonomialOrder = GRLEX,
 ) -> MultiplicityReport:
     """Dual space by the incremental full-matrix construction."""
-    return _dual_space(F, x0, tol, max_d, order, "DZ", lambda rows, d, *_: rows.mdz(d))
+    return _dual_space(F, x0, tol, max_d, order, "DZ", _dz_conditions)
 
 
 def dual_space_st(
@@ -281,8 +339,8 @@ def dual_space_st(
     max_d: int = DEFAULT_MAX_DEGREE,
     order: MonomialOrder = GRLEX,
 ) -> MultiplicityReport:
-    """Dual space via anti-derivation closedness blocks with row pruning."""
-    return _dual_space(F, x0, tol, max_d, order, "ST", _st_matrix)
+    """Dual space via the closedness condition, over its candidates only."""
+    return _dual_space(F, x0, tol, max_d, order, "ST", _st_conditions)
 
 
 def initial_support_of_elements(

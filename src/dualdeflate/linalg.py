@@ -22,6 +22,13 @@ class RankReport:
     corank: int
 
 
+def _check_unit_interval(**tolerances: float) -> None:
+    """Raise ValueError unless every tolerance lies in (0, 1)."""
+    for name, v in tolerances.items():
+        if not 0 < v < 1:
+            raise ValueError(f"{name} must lie in (0, 1), got {v}")
+
+
 def _check_finite(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
     if M.ndim == 1:

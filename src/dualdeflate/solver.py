@@ -20,15 +20,14 @@ from .errors import (
     NotARootError,
     OrderTooLowError,
 )
-from .linalg import DEFAULT_RANK_TOL, RankReport, least_squares, numerical_rank
+from .linalg import (
+    DEFAULT_RANK_TOL,
+    RankReport,
+    _check_unit_interval,
+    least_squares,
+    numerical_rank,
+)
 from .poly import PolySystem, _as_vector
-
-
-def _check_unit_interval(settings, *names: str) -> None:
-    for name in names:
-        v = getattr(settings, name)
-        if not 0 < v < 1:
-            raise ValueError(f"{name} must lie in (0, 1), got {v}")
 
 
 @dataclass(frozen=True)
@@ -40,7 +39,7 @@ class NewtonOptions:
     tol_rank: float = DEFAULT_RANK_TOL
 
     def __post_init__(self):
-        _check_unit_interval(self, "tol_step", "tol_rank")
+        _check_unit_interval(tol_step=self.tol_step, tol_rank=self.tol_rank)
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -142,7 +141,7 @@ class DriverConfig:
                 raise ValueError("fixed deflation order must be >= 1")
         elif self.order_policy not in ("auto", "first"):
             raise ValueError(f"unknown order policy {self.order_policy!r}")
-        _check_unit_interval(self, "tol_rank", "tol_coeff")
+        _check_unit_interval(tol_rank=self.tol_rank, tol_coeff=self.tol_coeff)
         if not 0 < self.tol_root < np.inf:
             raise ValueError(f"tol_root must be positive and finite, got {self.tol_root}")
         if self.max_stages < 0:

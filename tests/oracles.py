@@ -13,10 +13,12 @@ match; ``corank_drop_order``, the exact deflation order at a known root that
 order prediction must find; ``mdz_by_lookup``, the per-entry construction
 that the vectorised assembly must match bit for bit;
 ``dual_space_uncompressed``, the degree loop that hands each scaled matrix
-to the SVD whole; ``initial_support_by_scan``, the column-by-column,
-row-by-row reduction; and the three separate deflation constructions with
-their two derivative-matrix functions (``old_deflate_first_order`` and the
-other ``old_`` functions), which the one deflation builder must match.
+to the SVD whole, with ``st_matrix``, the ST matrix over the whole frame
+with its previous degree pruned; ``initial_support_by_scan``, the
+column-by-column, row-by-row reduction; and the three separate deflation
+constructions with their two derivative-matrix functions
+(``old_deflate_first_order`` and the other ``old_`` functions), which the
+one deflation builder must match.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dualdeflate.dual import (
     MonomialFrame,
     _CoefficientRows,
     _scale_rows,
-    _st_matrix,
+    build_sigma,
 )
 from dualdeflate.deflate import SymbolicMatrix, _extended_names, unit_modulus
 from dualdeflate.errors import (
@@ -43,7 +45,12 @@ from dualdeflate.errors import (
     InconclusivePredictionError,
     OrderTooLowError,
 )
-from dualdeflate.linalg import kernel_basis, least_squares, numerical_rank
+from dualdeflate.linalg import (
+    kernel_basis,
+    least_squares,
+    numerical_rank,
+    prune_rows,
+)
 from dualdeflate.poly import (
     GRLEX,
     Polynomial,
@@ -247,13 +254,22 @@ def mdz_by_lookup(shifted, n: int, d: int) -> np.ndarray:
     return M
 
 
+def st_matrix(rows: _CoefficientRows, d: int, prev, tol: float) -> np.ndarray:
+    """The frame-wide ST matrix: the generators over frame(d), then the
+    previous degree's matrix, pruned to its rank, through each sigma_j."""
+    blocks = [rows.over_frame(d)[:, 1:-1]]
+    if prev is not None and (pruned := prune_rows(prev, tol)).shape[0] > 0:
+        blocks += [pruned @ build_sigma(j, d, rows.n) for j in range(1, rows.n + 1)]
+    return np.vstack(blocks)
+
+
 def dual_space_uncompressed(F, x0, method: str, tol: float = 1e-8, max_d: int = 16):
     """The dual-space degree loop with every scaled matrix taken whole.
 
     Returns the per-degree dims, the stopping degree and the kernel at it,
     whose columns are the coefficients of the basis elements other than D_0
-    over the nonzero exponents of frame(degree). ST prunes the whole matrix
-    of the previous degree.
+    over the nonzero exponents of frame(degree). ST takes its columns over
+    the whole frame and prunes the whole matrix of the previous degree.
     """
     rows = _CoefficientRows(F, x0, tol, max_d)
     dims, M = [1], None
@@ -261,7 +277,7 @@ def dual_space_uncompressed(F, x0, method: str, tol: float = 1e-8, max_d: int = 
         if method == "DZ":
             M = _scale_rows(rows.mdz(d))
         else:
-            M = _scale_rows(_st_matrix(rows, d, M, tol))
+            M = _scale_rows(st_matrix(rows, d, M, tol))
         kernel = kernel_basis(M, tol)
         dims.append(1 + kernel.shape[1])
         if dims[-1] <= dims[-2]:

@@ -148,6 +148,23 @@ def test_out_of_range_setting_exit_code(files, capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["deflate", "--tol-rank", "5"], "tol_rank must lie in (0, 1)"),
+        (["deflate", "--tol-rank", "-1"], "tol_rank must lie in (0, 1)"),
+        (["deflate", "--order", "2", "--tol-rank", "0"], "tol_rank must lie in (0, 1)"),
+        (["predict-order", "--tol-coeff", "-1"], "tol_coeff must lie in (0, 1)"),
+        (["predict-order", "--tol-rank", "2"], "tol_rank must lie in (0, 1)"),
+    ],
+)
+def test_out_of_range_tolerance_exit_code_at_the_root(files, capsys, argv, message):
+    command, *flags = argv
+    point = files("p.txt", ORIGIN2)
+    assert main([command, files("s.txt", EX2_TEXT), point, *flags]) == EXIT_NUMERICAL
+    assert message in capsys.readouterr().err
+
+
 def test_solve_determinism(files, capsys):
     argv = [
         "solve",

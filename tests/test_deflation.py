@@ -175,6 +175,14 @@ def test_predict_order_regular_point_raises():
         corank_drop_order(F, [2.0])
 
 
+@pytest.mark.parametrize("tol", [0.0, 1.0, -1.0, 2.0, float("nan")])
+def test_predict_order_rejects_tolerances_outside_unit_interval(tol):
+    with pytest.raises(ValueError, match="tol_rank must lie in"):
+        predict_order(EX2.system, EX2.root, tol_rank=tol)
+    with pytest.raises(ValueError, match="tol_coeff must lie in"):
+        predict_order(EX2.system, EX2.root, tol_coeff=tol)
+
+
 def test_unit_modulus_deterministic():
     a = unit_modulus(np.random.default_rng(9), (4,))
     b = unit_modulus(np.random.default_rng(9), (4,))
@@ -261,6 +269,16 @@ def test_higher_order_g_rows_are_lambda_combinations():
 def test_higher_order_rejects_bad_order():
     with pytest.raises(ValueError):
         deflate_higher_order(SEC61.system, 0, SEC61.root)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1.0, -1.0, 5.0, float("nan")])
+@pytest.mark.parametrize("d", [1, 2])
+def test_deflation_rejects_rank_tolerance_outside_unit_interval(d, tol):
+    with pytest.raises(ValueError, match="tol_rank must lie in"):
+        deflate_higher_order(EX2.system, d, EX2.root, tol_rank=tol)
+    if d == 1:
+        with pytest.raises(ValueError, match="tol_rank must lie in"):
+            deflate_first_order(EX2.system, EX2.root, tol_rank=tol)
 
 
 def test_higher_order_regular_point_raises():

@@ -20,7 +20,12 @@ from dualdeflate import (
     dual_space_st,
     parse_system,
 )
-from dualdeflate.dual import _frame_index, _mdz_index, initial_support_of_elements
+from dualdeflate.dual import (
+    _frame_index,
+    _integral_index,
+    _mdz_index,
+    initial_support_of_elements,
+)
 from dualdeflate.errors import (
     DegenerateBasisError,
     DimensionMismatchError,
@@ -29,7 +34,7 @@ from dualdeflate.errors import (
 )
 from dualdeflate.poly import Functional
 
-from corpus import CORPUS, EX1, EX2, SEC61, monomial_ideal_entry
+from corpus import CORPUS, EX1, EX2, LEC02, SEC61, monomial_ideal_entry
 from oracles import (
     apply_functional_oracle,
     dual_space_uncompressed,
@@ -214,6 +219,24 @@ def test_sigma_maps_basis_vectors():
                 assert np.array_equal(col.real, expected)
 
 
+@pytest.mark.parametrize("n, d", [(n, d) for n in range(1, 5) for d in range(2, 6)])
+def test_integrals_of_anti_derivatives_give_back_the_functional(n, d):
+    """sum_j integral_j sigma_j L = L for L without a D_0 term, where
+    integral_j moves D_gamma to D_(gamma + e_j) if gamma is zero before j."""
+    rng = np.random.default_rng(10 * n + d)
+    frame = MonomialFrame.build(n, d)
+    L = rng.standard_normal(frame.size - 1) + 1j * rng.standard_normal(frame.size - 1)
+    U, Z = _integral_index(n, d)
+    total = np.zeros(frame.size, dtype=complex)
+    for j in range(n):
+        e_j = tuple(int(i == j) for i in range(n))
+        # sigma_j L over frame(d - 1), with the D_0 term that build_sigma drops
+        s = np.concatenate([[L[frame.index[e_j] - 1]], build_sigma(j + 1, d, n) @ L])
+        np.add.at(total, U[j, Z[j]], s[Z[j]])
+    assert total[0] == 0
+    assert np.array_equal(total[1:], L)
+
+
 def test_sigma_bad_indices():
     with pytest.raises(DimensionMismatchError):
         build_sigma(0, 2, 2)
@@ -322,8 +345,8 @@ def test_r_factor_loop_matches_uncompressed_on_monomial_ideals(ideal):
         assert_matches_uncompressed(report, entry.system, entry.root)
 
 
-@pytest.mark.parametrize("method", [dual_space_dz, dual_space_st])
-def test_svd_gets_the_r_factor_of_tall_matrices(method, monkeypatch):
+def record_shapes(monkeypatch, names=("kernel_basis",)):
+    """(name, shape) of every matrix handed to the named linalg functions in dual."""
     import dualdeflate.dual as dual
 
     shapes = []
@@ -337,16 +360,69 @@ def test_svd_gets_the_r_factor_of_tall_matrices(method, monkeypatch):
 
         return record
 
-    for name in ("kernel_basis", "prune_rows"):
+    for name in names:
         monkeypatch.setattr(dual, name, recording(name))
+    return shapes
+
+
+@pytest.mark.parametrize("method", [dual_space_dz, dual_space_st])
+def test_svd_gets_the_r_factor_of_tall_matrices(method, monkeypatch):
+    shapes = record_shapes(monkeypatch, ("kernel_basis", "prune_rows"))
     method(SEC61.system, SEC61.root)
     kernels = [s for name, s in shapes if name == "kernel_basis"]
     n = SEC61.system.nvars
     degrees = range(1, len(kernels) + 1)
-    assert [cols for _, cols in kernels] == [comb(n + d, n) - 1 for d in degrees]
+    frames = [comb(n + d, n) - 1 for d in degrees]
     assert all(rows <= cols for _, (rows, cols) in shapes)
     if method is dual_space_dz:  # the full matrices are tall here
+        assert [cols for _, cols in kernels] == frames
         assert kernels[2:] == [(cols, cols) for _, cols in kernels[2:]]
+    else:  # at most the frame's columns, and one SVD per degree
+        assert all(cols <= f for (_, cols), f in zip(kernels, frames))
+        assert len(shapes) == len(kernels)
+
+
+def test_st_svd_gets_at_most_the_closedness_candidates(monkeypatch):
+    """On LEC02, each degree's SVD has at most n dim D_(d-1) columns
+    wherever that is below the frame's B(d) - 1."""
+    shapes = record_shapes(monkeypatch)
+    report = dual_space_st(LEC02.system, LEC02.root)
+    dims, n = report.dual_basis.per_degree_dims, LEC02.system.nvars
+    assert len(shapes) == len(dims) - 1
+    below = 0
+    for d, (_, (rows, cols)) in enumerate(shapes, start=1):
+        bound, frame = n * dims[d - 1], comb(n + d, n) - 1
+        assert rows <= cols <= frame
+        if bound < frame:
+            assert cols <= bound
+            below += 1
+    assert below >= 4
+
+
+# Instances whose ST solve runs on fewer candidates than the frame at some
+# degree; the small hypothesis ideals rarely get there.
+CANDIDATE_CASES = (
+    monomial_ideal_entry("cubes-3", ((3, 0, 0), (0, 3, 0), (0, 0, 3)), 3, 21),
+    monomial_ideal_entry(
+        "squares-cube-4",
+        ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 3)),
+        4,
+        22,
+    ),
+    LEC02,
+)
+
+
+@pytest.mark.parametrize("entry", CANDIDATE_CASES, ids=lambda e: e.name)
+def test_st_on_candidates_matches_frame_wide_reference(entry, monkeypatch):
+    shapes = record_shapes(monkeypatch)
+    report = dual_space_st(entry.system, entry.root)
+    n = entry.system.nvars
+    assert any(
+        cols < comb(n + d, n) - 1 for d, (_, (_, cols)) in enumerate(shapes, start=1)
+    )
+    assert report.multiplicity == entry.multiplicity
+    assert_matches_uncompressed(report, entry.system, entry.root)
 
 
 def test_basis_elements_equal_publicly_built_ones():
