@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .poly import (
     GRLEX,
-    Functional,
     MonomialOrder,
     Polynomial,
     PolySystem,
@@ -16,14 +15,12 @@ from .linalg import (
     kernel_basis,
     least_squares,
     numerical_rank,
-    prune_rows,
 )
 from .dual import (
     DualBasis,
     MonomialFrame,
     MultiplicityReport,
     build_mdz,
-    build_sigma,
     dual_space_dz,
     dual_space_st,
 )
@@ -51,7 +48,6 @@ from .parsing import parse_point, parse_system, serialize_system
 
 __all__ = [
     "GRLEX",
-    "Functional",
     "MonomialOrder",
     "Polynomial",
     "PolySystem",
@@ -61,12 +57,10 @@ __all__ = [
     "kernel_basis",
     "least_squares",
     "numerical_rank",
-    "prune_rows",
     "DualBasis",
     "MonomialFrame",
     "MultiplicityReport",
     "build_mdz",
-    "build_sigma",
     "dual_space_dz",
     "dual_space_st",
     "AugmentedSystem",

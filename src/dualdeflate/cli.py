@@ -132,7 +132,7 @@ def _run_multiplicity(args, report):
     fn = dual_space_dz if args.method == "dz" else dual_space_st
     result = fn(F, x0, tol=args.tol_rank, max_d=args.max_degree)
     report.update(
-        method=result.method,
+        method=args.method.upper(),
         multiplicity=result.multiplicity,
         degree=result.dual_basis.degree,
         per_degree_dims=list(result.dual_basis.per_degree_dims),

@@ -73,6 +73,10 @@ class DeflationOperator:
 
     def __post_init__(self):
         clean = {tuple(b): complex(c) for b, c in self.terms.items() if c != 0}
+        if len({len(b) for b in self.terms}) > 1:
+            raise DimensionMismatchError("operator exponents differ in length")
+        if any(min(b, default=0) < 0 for b in self.terms):
+            raise ValueError("negative exponent entry in operator term")
         if not clean:
             raise ValueError("deflation operator must have a nonzero coefficient")
         for b in clean:

@@ -22,22 +22,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateBasisError,
-    DimensionMismatchError,
-    NonIsolatedSuspectError,
-    NotARootError,
-)
+from .errors import DegenerateBasisError, NonIsolatedSuspectError, NotARootError
 from .linalg import DEFAULT_RANK_TOL, _check_unit_interval, kernel_basis
 from .linalg import prune_rows  # noqa: F401  (bench/tracer.py patches dual.prune_rows)
-from .poly import (
-    GRLEX,
-    Exponent,
-    Functional,
-    MonomialOrder,
-    PolySystem,
-    _as_vector,
-)
+from .poly import GRLEX, Exponent, MonomialOrder, PolySystem, _as_vector
 
 DEFAULT_MAX_DEGREE = 16
 
@@ -49,7 +37,6 @@ class MonomialFrame:
     nvars: int
     degree: int
     exponents: tuple[Exponent, ...]
-    index: dict[Exponent, int]
 
     @classmethod
     def build(cls, nvars: int, degree: int) -> "MonomialFrame":
@@ -78,16 +65,20 @@ def _frame_cached(nvars: int, degree: int) -> MonomialFrame:
     exps = [tuple(c.count(i) for i in range(nvars)) for c in picks]
     exps.sort(key=GRLEX.key)
     assert len(exps) == comb(nvars + degree, nvars)
-    return MonomialFrame(nvars, degree, tuple(exps), {e: i for i, e in enumerate(exps)})
+    return MonomialFrame(nvars, degree, tuple(exps))
 
 
 @dataclass(frozen=True)
 class DualBasis:
-    """Basis of the local dual space at a basepoint."""
+    """Basis of the local dual space at a root, one element per column.
 
-    basepoint: tuple[complex, ...]
+    Row i of the read-only ``coefficients`` holds the coefficients of D_a
+    for the i-th exponent a of ``MonomialFrame.build(n, degree).exponents``,
+    in coordinates shifted to the root. Column 0 is D_0.
+    """
+
     degree: int
-    elements: tuple[Functional, ...]
+    coefficients: np.ndarray
     per_degree_dims: tuple[int, ...]
 
 
@@ -96,7 +87,6 @@ class MultiplicityReport:
     multiplicity: int
     dual_basis: DualBasis
     initial_support: frozenset[Exponent]
-    method: str
 
 
 def _frame_index(part: Callable[[int], np.ndarray], n: int, degree: int) -> np.ndarray:
@@ -196,25 +186,6 @@ def build_mdz(
     return _CoefficientRows(F, x0, tol, d).mdz(d)
 
 
-def build_sigma(j: int, d: int, nvars: int) -> np.ndarray:
-    """Matrix of the anti-derivation along variable j (1-based) at degree d.
-
-    Maps coefficient vectors over {D_beta : 0 < |beta| <= d} to vectors over
-    {D_gamma : 0 < |gamma| <= d-1} by D_beta -> D_{beta - e_j} (zero when
-    beta_j = 0 or beta = e_j, the latter landing on the modded-out D_0).
-    """
-    if not 1 <= j <= nvars:
-        raise DimensionMismatchError(f"variable index {j} out of range 1..{nvars}")
-    if d < 2:
-        raise ValueError("degree must be >= 2")
-    # T's row for alpha = e_j, which grlex puts at frame index nvars - j + 1
-    rows = _mdz_index(nvars, d)[nvars - j + 1] - 1
-    (cols,) = np.nonzero(rows >= 0)
-    S = np.zeros((comb(nvars + d - 1, nvars) - 1, len(rows)), dtype=complex)
-    S[rows[cols], cols] = 1
-    return S
-
-
 def _scale_rows(M: np.ndarray) -> np.ndarray:
     if M.size == 0:
         return M
@@ -223,7 +194,7 @@ def _scale_rows(M: np.ndarray) -> np.ndarray:
     return M / mags[:, None]
 
 
-def _dual_space(F, x0, tol, max_d, order, method, conditions):
+def _dual_space(F, x0, tol, max_d, order, conditions):
     """The degree loop of both methods: stop when the kernel stops growing.
 
     ``conditions(rows, d, K)`` gives the degree-d matrix and the orthonormal
@@ -261,16 +232,18 @@ def _dual_space(F, x0, tol, max_d, order, method, conditions):
             "the root may be non-isolated",
             per_degree_dims=dims,
         )
-    n = F.nvars
-    bp = tuple(complex(v) for v in _as_vector(x0, n))
-    cols = MonomialFrame.build(n, d).nonzero()
-    elements = (Functional.delta(n, (0,) * n, bp),) + tuple(
-        Functional._trusted(n, {a: c for a, c in zip(cols, v) if c}, bp)
-        for v in K.T.tolist()
-    )
-    init = frozenset(initial_support_of_elements(elements, order, tol))
-    basis = DualBasis(bp, d, elements, tuple(dims))
-    return MultiplicityReport(len(elements), basis, init, method)
+    C = _with_d0(K)
+    C.flags.writeable = False
+    exponents = MonomialFrame.build(F.nvars, d).exponents
+    init = frozenset(initial_support_of_elements(C, exponents, order, tol))
+    return MultiplicityReport(C.shape[1], DualBasis(d, C, tuple(dims)), init)
+
+
+def _with_d0(K: np.ndarray) -> np.ndarray:
+    """span(D_0, K) over a frame, for K over the frame without D_0."""
+    C = np.zeros((K.shape[0] + 1, K.shape[1] + 1), dtype=complex)
+    C[0, 0], C[1:, 1:] = 1, K
+    return C
 
 
 def _dz_conditions(rows: _CoefficientRows, d: int, K) -> tuple[np.ndarray, None]:
@@ -301,8 +274,7 @@ def _st_conditions(rows: _CoefficientRows, d: int, K: np.ndarray):
         return G, None
     n, size = rows.n, MonomialFrame.build(rows.n, d).size
     U, Z = _integral_index(n, d)
-    Kx = np.zeros((K.shape[0] + 1, K.shape[1] + 1), dtype=complex)
-    Kx[0, 0], Kx[1:, 1:] = 1, K  # span(D_0, K) over frame(d - 1)
+    Kx = _with_d0(K)
     widths = [min(len(z), Kx.shape[1]) for z in Z]
     Q, c = np.zeros((size, sum(widths)), dtype=complex), 0
     for j, (z, w) in enumerate(zip(Z, widths)):
@@ -329,7 +301,7 @@ def dual_space_dz(
     order: MonomialOrder = GRLEX,
 ) -> MultiplicityReport:
     """Dual space by the incremental full-matrix construction."""
-    return _dual_space(F, x0, tol, max_d, order, "DZ", _dz_conditions)
+    return _dual_space(F, x0, tol, max_d, order, _dz_conditions)
 
 
 def dual_space_st(
@@ -340,31 +312,31 @@ def dual_space_st(
     order: MonomialOrder = GRLEX,
 ) -> MultiplicityReport:
     """Dual space via the closedness condition, over its candidates only."""
-    return _dual_space(F, x0, tol, max_d, order, "ST", _st_conditions)
+    return _dual_space(F, x0, tol, max_d, order, _st_conditions)
 
 
 def initial_support_of_elements(
-    elements: Sequence[Functional],
+    coefficients: np.ndarray,
+    exponents: Sequence[Exponent],
     order: MonomialOrder = GRLEX,
     tol: float = DEFAULT_RANK_TOL,
 ) -> set[Exponent]:
     """Leading exponents of a reduced basis, one per element.
 
-    The coefficient matrix is reduced with columns scanned from the top of
-    the order downwards, so each element ends up with a distinct leading
-    exponent; the set of those exponents is returned.
+    Column k of ``coefficients`` is element k, row i its coefficient of
+    D_(exponents[i]). The elements are reduced with the exponents scanned
+    from the top of the order downwards, so each ends up with a distinct
+    leading exponent; the set of those exponents is returned.
     """
-    if not elements:
+    if not coefficients.shape[1]:
         raise DegenerateBasisError("empty functional basis")
-    support = sorted({a for L in elements for a in L.terms}, key=order.key, reverse=True)
-    pos = {a: i for i, a in enumerate(support)}
-    A = np.zeros((len(elements), len(support)), dtype=complex)
-    for i, L in enumerate(elements):
-        A[i, [pos[a] for a in L.terms]] = list(L.terms.values())
+    keys = [order.key(a) for a in exponents]
+    support = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
+    A = np.asarray(coefficients, dtype=complex).T[:, support]
     scale = np.abs(A).max() if A.size else 0.0
     if scale == 0:
         raise DegenerateBasisError("all functionals are zero")
-    remaining = np.arange(len(elements))
+    remaining = np.arange(A.shape[0])
     leading: set[Exponent] = set()
     c = 0
     while remaining.size:
@@ -380,7 +352,7 @@ def initial_support_of_elements(
         # columns up to c are never read again
         factors = A[remaining, c] / A[pivot, c]
         A[remaining, c + 1 :] -= np.outer(factors, A[pivot, c + 1 :])
-        leading.add(support[c])
+        leading.add(exponents[support[c]])
         c += 1
     if remaining.size:
         raise DegenerateBasisError(

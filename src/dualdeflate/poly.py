@@ -552,52 +552,3 @@ def substitute_line(
         h_max = max((abs(cv) for cv in eq.values()), default=0.0)
         mags.append(max(h_max, p.max_coeff_magnitude()) if eq else 0.0)
     return UnivariateSupport(tuple(coeffs), tuple(mags))
-
-
-@dataclass(frozen=True)
-class Functional:
-    """A differential functional L = sum c_alpha D_alpha at a basepoint.
-
-    D_alpha(f) = (1/alpha!) * (d^alpha f)(basepoint), so D_alpha picks the
-    coefficient of (x - basepoint)^alpha.
-    """
-
-    nvars: int
-    terms: dict[Exponent, complex]
-    basepoint: tuple[complex, ...]
-
-    def __post_init__(self):
-        clean = {}
-        for a, c in self.terms.items():
-            a = tuple(int(x) for x in a)
-            if len(a) != self.nvars:
-                raise DimensionMismatchError(
-                    f"functional exponent {a} has length {len(a)}, expected {self.nvars}"
-                )
-            if c != 0:
-                clean[a] = complex(c)
-        object.__setattr__(self, "terms", clean)
-        bp = tuple(complex(b) for b in self.basepoint)
-        if len(bp) != self.nvars:
-            raise DimensionMismatchError("basepoint length does not match nvars")
-        object.__setattr__(self, "basepoint", bp)
-
-    @classmethod
-    def _trusted(
-        cls, nvars: int, terms: dict[Exponent, complex], basepoint: tuple[complex, ...]
-    ) -> "Functional":
-        """Build from nonzero complex coefficients keyed by valid exponent
-        tuples and a basepoint tuple of complex, as the dual-space loop has
-        them: the checks of __post_init__ are skipped, and the result
-        compares equal to ``Functional(nvars, terms, basepoint)``.
-        """
-        out = object.__new__(cls)
-        object.__setattr__(out, "nvars", nvars)
-        object.__setattr__(out, "terms", terms)
-        object.__setattr__(out, "basepoint", basepoint)
-        return out
-
-    @classmethod
-    def delta(cls, nvars: int, alpha: Exponent, basepoint=None) -> "Functional":
-        bp = basepoint if basepoint is not None else (0,) * nvars
-        return cls(nvars, {tuple(alpha): 1}, tuple(bp))

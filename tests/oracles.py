@@ -14,7 +14,8 @@ order prediction must find; ``mdz_by_lookup``, the per-entry construction
 that the vectorised assembly must match bit for bit;
 ``dual_space_uncompressed``, the degree loop that hands each scaled matrix
 to the SVD whole, with ``st_matrix``, the ST matrix over the whole frame
-with its previous degree pruned; ``initial_support_by_scan``, the
+with its previous degree pruned through the anti-derivations of
+``build_sigma``; ``initial_support_by_scan``, the
 column-by-column, row-by-row reduction; and the three separate deflation
 constructions with their two derivative-matrix functions
 (``old_deflate_first_order`` and the other ``old_`` functions), which the
@@ -31,12 +32,7 @@ from typing import Mapping, Sequence
 import numpy as np
 import sympy
 
-from dualdeflate.dual import (
-    MonomialFrame,
-    _CoefficientRows,
-    _scale_rows,
-    build_sigma,
-)
+from dualdeflate.dual import MonomialFrame, _CoefficientRows, _mdz_index, _scale_rows
 from dualdeflate.deflate import SymbolicMatrix, _extended_names, unit_modulus
 from dualdeflate.errors import (
     AlreadyRegularError,
@@ -254,6 +250,25 @@ def mdz_by_lookup(shifted, n: int, d: int) -> np.ndarray:
     return M
 
 
+def build_sigma(j: int, d: int, nvars: int) -> np.ndarray:
+    """Matrix of the anti-derivation along variable j (1-based) at degree d.
+
+    Maps coefficient vectors over {D_beta : 0 < |beta| <= d} to vectors over
+    {D_gamma : 0 < |gamma| <= d-1} by D_beta -> D_{beta - e_j} (zero when
+    beta_j = 0 or beta = e_j, the latter landing on the modded-out D_0).
+    """
+    if not 1 <= j <= nvars:
+        raise DimensionMismatchError(f"variable index {j} out of range 1..{nvars}")
+    if d < 2:
+        raise ValueError("degree must be >= 2")
+    # T's row for alpha = e_j, which grlex puts at frame index nvars - j + 1
+    rows = _mdz_index(nvars, d)[nvars - j + 1] - 1
+    (cols,) = np.nonzero(rows >= 0)
+    S = np.zeros((comb(nvars + d - 1, nvars) - 1, len(rows)), dtype=complex)
+    S[rows[cols], cols] = 1
+    return S
+
+
 def st_matrix(rows: _CoefficientRows, d: int, prev, tol: float) -> np.ndarray:
     """The frame-wide ST matrix: the generators over frame(d), then the
     previous degree's matrix, pruned to its rank, through each sigma_j."""
@@ -285,26 +300,24 @@ def dual_space_uncompressed(F, x0, method: str, tol: float = 1e-8, max_d: int = 
     raise ValueError(f"dual-space dimension still growing at degree {max_d}")
 
 
-def initial_support_by_scan(elements, order=GRLEX, tol: float = 1e-8) -> set:
+def initial_support_by_scan(coefficients, exponents, order=GRLEX, tol=1e-8) -> set:
     """Leading exponents of a reduced basis, one column and one row at a time.
 
-    Columns are scanned from the top of the order down; in each the pivot is
-    the first remaining row of largest magnitude, skipped if that magnitude
-    is at most tol times the largest coefficient, and every other remaining
-    row is reduced against it.
+    Column k of ``coefficients`` is element k over ``exponents``, one per
+    row. Exponents are scanned from the top of the order down; at each the
+    pivot is the first remaining element of largest magnitude, skipped if
+    that magnitude is at most tol times the largest coefficient, and every
+    other remaining element is reduced against it.
     """
-    if not elements:
+    if coefficients.shape[1] == 0:
         raise DegenerateBasisError("empty functional basis")
-    support = sorted(
-        {a for L in elements for a in L.terms}, key=order.key, reverse=True
-    )
-    A = np.array(
-        [[L.terms.get(a, 0j) for a in support] for L in elements], dtype=complex
-    )
+    row = {a: i for i, a in enumerate(exponents)}
+    support = sorted(exponents, key=order.key, reverse=True)
+    A = np.array([coefficients[row[a]] for a in support], dtype=complex).T
     scale = np.abs(A).max() if A.size else 0.0
     if scale == 0:
         raise DegenerateBasisError("all functionals are zero")
-    remaining = list(range(len(elements)))
+    remaining = list(range(A.shape[0]))
     leading = set()
     for c, alpha in enumerate(support):
         if not remaining:

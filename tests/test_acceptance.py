@@ -12,7 +12,7 @@ import pytest
 
 from dualdeflate import (
     DriverConfig,
-    Functional,
+    MonomialFrame,
     MonomialOrder,
     NewtonOptions,
     Polynomial,
@@ -48,16 +48,23 @@ def criterion(number, description):
 
 
 def span_matrix(functionals, exponents):
-    """Coefficient matrix of functionals over a fixed exponent list, columns."""
+    """Coefficient matrix of exponent -> coefficient maps over a fixed
+    exponent list, one column per functional."""
     return np.array(
-        [[L.terms.get(a, 0j) for L in functionals] for a in exponents],
+        [[L.get(a, 0j) for L in functionals] for a in exponents],
         dtype=complex,
     )
 
 
+def basis_functionals(report, nvars):
+    """A report's dual basis as exponent -> coefficient maps."""
+    frame = MonomialFrame.build(nvars, report.dual_basis.degree)
+    return [dict(zip(frame.exponents, v)) for v in report.dual_basis.coefficients.T]
+
+
 def functional_span_distance(basis_elements, reference_elements):
     exps = sorted(
-        {a for L in list(basis_elements) + list(reference_elements) for a in L.terms}
+        {a for L in list(basis_elements) + list(reference_elements) for a in L}
     )
     A = span_matrix(basis_elements, exps)
     B = span_matrix(reference_elements, exps)
@@ -113,14 +120,9 @@ def test_criterion_2_running_example_2_multiplicity():
         assert dz.multiplicity == 4
         assert st.multiplicity == 4
 
-        reference = [
-            Functional(2, {(0, 0): 1}, (0, 0)),
-            Functional(2, {(1, 0): 1}, (0, 0)),
-            Functional(2, {(0, 1): 1}, (0, 0)),
-            Functional(2, {(2, 0): 1, (0, 2): 1}, (0, 0)),
-        ]
+        reference = [{(0, 0): 1}, {(1, 0): 1}, {(0, 1): 1}, {(2, 0): 1, (0, 2): 1}]
         for report in (dz, st):
-            dist = functional_span_distance(report.dual_basis.elements, reference)
+            dist = functional_span_distance(basis_functionals(report, 2), reference)
             assert dist < 1e-8
 
         # degree-by-degree dimensions: 1 at degree 0, 3 after step 1,
@@ -139,19 +141,19 @@ def test_criterion_3_running_example_1_multiplicity():
         assert st.multiplicity == 10
 
         reference = [
-            Functional(2, {(4, 0): 1, (3, 1): -1}, (0, 0)),
-            Functional(2, {(3, 0): 1}, (0, 0)),
-            Functional(2, {(2, 1): 1}, (0, 0)),
-            Functional(2, {(1, 2): 1}, (0, 0)),
-            Functional(2, {(2, 0): 1}, (0, 0)),
-            Functional(2, {(1, 1): 1}, (0, 0)),
-            Functional(2, {(0, 2): 1}, (0, 0)),
-            Functional(2, {(1, 0): 1}, (0, 0)),
-            Functional(2, {(0, 1): 1}, (0, 0)),
-            Functional(2, {(0, 0): 1}, (0, 0)),
+            {(4, 0): 1, (3, 1): -1},
+            {(3, 0): 1},
+            {(2, 1): 1},
+            {(1, 2): 1},
+            {(2, 0): 1},
+            {(1, 1): 1},
+            {(0, 2): 1},
+            {(1, 0): 1},
+            {(0, 1): 1},
+            {(0, 0): 1},
         ]
         for report in (dz, st):
-            dist = functional_span_distance(report.dual_basis.elements, reference)
+            dist = functional_span_distance(basis_functionals(report, 2), reference)
             assert dist < 1e-8
 
         expected_support = {

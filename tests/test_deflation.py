@@ -135,6 +135,20 @@ def test_operator_validation():
     assert Q.nvars == 2
 
 
+def test_operator_rejects_negative_exponent_entries():
+    # (2, -1) has total degree 1, inside 1..order; it used to be dropped
+    # silently when the operator was applied
+    with pytest.raises(ValueError, match="negative"):
+        DeflationOperator(2, {(0, 1): 1, (2, -1): 5})
+
+
+def test_operator_rejects_exponents_of_different_lengths():
+    # nvars used to come from the first key alone, and the 3-variable term
+    # was then lost on ex2
+    with pytest.raises(DimensionMismatchError):
+        DeflationOperator(2, {(1, 0): 1, (1, 0, 0): 2})
+
+
 def test_operator_row_matches_brute_derivative():
     p = Polynomial(2, {(3, 1): 2.0, (1, 2): -1.5, (0, 4): 1j})
     Q = DeflationOperator(2, {(1, 0): 2.0, (1, 1): -1.0, (0, 2): 0.5j})

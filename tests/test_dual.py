@@ -15,7 +15,6 @@ from dualdeflate import (
     Polynomial,
     PolySystem,
     build_mdz,
-    build_sigma,
     dual_space_dz,
     dual_space_st,
     parse_system,
@@ -32,11 +31,10 @@ from dualdeflate.errors import (
     NonIsolatedSuspectError,
     NotARootError,
 )
-from dualdeflate.poly import Functional
-
 from corpus import CORPUS, EX1, EX2, LEC02, SEC61, monomial_ideal_entry
 from oracles import (
     apply_functional_oracle,
+    build_sigma,
     dual_space_uncompressed,
     initial_support_by_scan,
     mdz_by_lookup,
@@ -57,7 +55,6 @@ def test_frame_sizes_and_order():
             assert keys == sorted(keys)
             assert frame.exponents[0] == (0,) * n
             assert frame.nonzero() == frame.exponents[1:]
-            assert all(frame.index[e] == i for i, e in enumerate(frame.exponents))
 
 
 # -- the degree-d condition matrix -----------------------------------------
@@ -231,7 +228,8 @@ def test_integrals_of_anti_derivatives_give_back_the_functional(n, d):
     for j in range(n):
         e_j = tuple(int(i == j) for i in range(n))
         # sigma_j L over frame(d - 1), with the D_0 term that build_sigma drops
-        s = np.concatenate([[L[frame.index[e_j] - 1]], build_sigma(j + 1, d, n) @ L])
+        head = L[frame.exponents.index(e_j) - 1]
+        s = np.concatenate([[head], build_sigma(j + 1, d, n) @ L])
         np.add.at(total, U[j, Z[j]], s[Z[j]])
     assert total[0] == 0
     assert np.array_equal(total[1:], L)
@@ -248,13 +246,8 @@ def test_sigma_bad_indices():
 
 # -- the two algorithms agree and are correct ------------------------------
 
-def _coefficient_matrix(elements, nvars, degree):
-    frame = MonomialFrame.build(nvars, degree)
-    A = np.zeros((len(elements), frame.size), dtype=complex)
-    for i, L in enumerate(elements):
-        for a, c in L.terms.items():
-            A[i, frame.index[a]] = c
-    return A
+# each method with the name the uncompressed reference loop takes
+METHODS = {dual_space_dz: "DZ", dual_space_st: "ST"}
 
 
 @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
@@ -263,10 +256,8 @@ def test_methods_agree_on_corpus(entry):
     st = dual_space_st(entry.system, entry.root)
     assert dz.multiplicity == st.multiplicity == entry.multiplicity
     assert dz.dual_basis.per_degree_dims == st.dual_basis.per_degree_dims
-    deg = max(dz.dual_basis.degree, st.dual_basis.degree)
-    A = _coefficient_matrix(dz.dual_basis.elements, entry.system.nvars, deg)
-    B = _coefficient_matrix(st.dual_basis.elements, entry.system.nvars, deg)
-    assert subspace_distance(A.T, B.T) < 1e-8
+    A, B = dz.dual_basis.coefficients, st.dual_basis.coefficients
+    assert subspace_distance(A, B) < 1e-8
 
 
 @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
@@ -278,6 +269,7 @@ def test_dual_basis_annihilates_multiples(entry):
     # property is degree-by-degree, so a truncation is still a real check
     alpha_bound = max(d - 1, 0) if entry.multiplicity <= 10 else 2
     frame = MonomialFrame.build(entry.system.nvars, alpha_bound)
+    exponents = MonomialFrame.build(entry.system.nvars, d).exponents
     for alpha in frame.exponents:
         for f in entry.system.polys:
             shifted_mono = Polynomial.constant(entry.system.nvars, 1)
@@ -287,36 +279,37 @@ def test_dual_basis_annihilates_multiples(entry):
                     - Polynomial.constant(entry.system.nvars, entry.root[i])
                 ) ** e
             g = shifted_mono * f
-            for L in report.dual_basis.elements:
-                value = apply_functional_oracle(L.terms, L.basepoint, g.terms)
+            for v in report.dual_basis.coefficients.T:
+                L = dict(zip(exponents, v))
+                value = apply_functional_oracle(L, entry.root, g.terms)
                 assert abs(value) < 1e-6 * scale
 
 
-def assert_matches_uncompressed(report, F, x0):
+def assert_matches_uncompressed(report, F, x0, method):
     """Same multiplicity, dims and initial support as the loop that hands
-    each matrix to the SVD whole, and a dual basis within 1e-10."""
-    dims, degree, kernel = dual_space_uncompressed(F, x0, report.method)
+    each matrix to the SVD whole, and a dual basis within 1e-10: a
+    B(degree) x multiplicity coefficient matrix whose column 0 is e_0."""
+    dims, degree, kernel = dual_space_uncompressed(F, x0, method)
     basis = report.dual_basis
     assert basis.per_degree_dims == dims
     assert basis.degree == degree
     assert report.multiplicity == dims[-1]
-    assert basis.elements[0] == Functional.delta(F.nvars, (0,) * F.nvars, x0)
-    A = _coefficient_matrix(basis.elements[1:], F.nvars, degree)[:, 1:]
-    assert A.shape == kernel.T.shape
-    assert subspace_distance(A.T, kernel) <= 1e-10
-    bp, cols = basis.basepoint, MonomialFrame.build(F.nvars, degree).nonzero()
-    elements = [Functional.delta(F.nvars, (0,) * F.nvars, bp)] + [
-        Functional(F.nvars, dict(zip(cols, v)), bp) for v in kernel.T
-    ]
-    assert report.initial_support == initial_support_by_scan(elements)
+    C, frame = basis.coefficients, MonomialFrame.build(F.nvars, degree)
+    assert C.shape == (frame.size, report.multiplicity)
+    assert np.array_equal(C[:, 0], np.eye(frame.size)[0])
+    assert not C[0, 1:].any()
+    assert subspace_distance(C[1:, 1:], kernel) <= 1e-10
+    reference = np.zeros_like(C)
+    reference[0, 0], reference[1:, 1:] = 1, kernel
+    assert report.initial_support == initial_support_by_scan(reference, frame.exponents)
 
 
-@pytest.mark.parametrize("method", [dual_space_dz, dual_space_st])
+@pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
 def test_r_factor_loop_matches_uncompressed_on_corpus(entry, method):
     report = method(entry.system, entry.root)
     assert report.multiplicity == entry.multiplicity
-    assert_matches_uncompressed(report, entry.system, entry.root)
+    assert_matches_uncompressed(report, entry.system, entry.root, METHODS[method])
 
 
 @st.composite
@@ -339,10 +332,10 @@ def monomial_ideals(draw):
 def test_r_factor_loop_matches_uncompressed_on_monomial_ideals(ideal):
     gens, n, seed = ideal
     entry = monomial_ideal_entry("random", gens, n, seed)
-    for method in (dual_space_dz, dual_space_st):
+    for method, name in METHODS.items():
         report = method(entry.system, entry.root)
         assert report.multiplicity == entry.multiplicity
-        assert_matches_uncompressed(report, entry.system, entry.root)
+        assert_matches_uncompressed(report, entry.system, entry.root, name)
 
 
 def record_shapes(monkeypatch, names=("kernel_basis",)):
@@ -422,19 +415,7 @@ def test_st_on_candidates_matches_frame_wide_reference(entry, monkeypatch):
         cols < comb(n + d, n) - 1 for d, (_, (_, cols)) in enumerate(shapes, start=1)
     )
     assert report.multiplicity == entry.multiplicity
-    assert_matches_uncompressed(report, entry.system, entry.root)
-
-
-def test_basis_elements_equal_publicly_built_ones():
-    for entry in CORPUS:
-        for method in (dual_space_dz, dual_space_st):
-            for L in method(entry.system, entry.root).dual_basis.elements:
-                public = Functional(L.nvars, L.terms, L.basepoint)
-                assert L == public
-                assert all(type(c) is complex and c != 0 for c in L.terms.values())
-                assert all(type(x) is int for a in L.terms for x in a)
-    trusted = Functional._trusted(2, {(1, 0): 2 + 0j, (0, 2): -1j}, (0j, 1 + 0j))
-    assert trusted == Functional(2, {(1, 0): 2, (0, 2): -1j, (1, 1): 0}, (0, 1))
+    assert_matches_uncompressed(report, entry.system, entry.root, "ST")
 
 
 def test_per_degree_dims_monotone_and_stable():
@@ -493,25 +474,47 @@ def test_initial_support_ex1_weighted():
 
 
 def test_initial_support_rejects_degenerate_input():
-    with pytest.raises(DegenerateBasisError):
-        initial_support_of_elements([])
-    zero = Functional(1, {}, (0,))
-    with pytest.raises(DegenerateBasisError):
-        initial_support_of_elements([zero])
-    L = Functional(1, {(1,): 1}, (0,))
-    with pytest.raises(DegenerateBasisError):
-        initial_support_of_elements([L, L])  # linearly dependent
+    exponents, L = ((0,), (1,)), np.array([0, 1])
+    for support in (initial_support_of_elements, initial_support_by_scan):
+        with pytest.raises(DegenerateBasisError):
+            support(np.zeros((2, 0)), exponents)  # empty
+        with pytest.raises(DegenerateBasisError):
+            support(np.zeros((2, 1)), exponents)  # the zero functional
+        with pytest.raises(DegenerateBasisError):
+            support(np.stack([L, L], axis=1), exponents)  # linearly dependent
 
 
-@pytest.mark.parametrize("method", [dual_space_dz, dual_space_st])
+def _orders(n):
+    return (GRLEX, MonomialOrder.weighted(tuple(range(n, 0, -1))))
+
+
+def _basis(entry, method, order=GRLEX):
+    report = method(entry.system, entry.root, order=order)
+    basis = report.dual_basis
+    exponents = MonomialFrame.build(entry.system.nvars, basis.degree).exponents
+    return report, basis.coefficients, exponents
+
+
+@pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
 def test_initial_support_matches_scan_on_corpus(entry, method):
-    elements = method(entry.system, entry.root).dual_basis.elements
-    n = entry.system.nvars
-    for order in (GRLEX, MonomialOrder.weighted(tuple(range(n, 0, -1)))):
-        assert initial_support_of_elements(elements, order) == initial_support_by_scan(
-            elements, order
-        )
+    _, C, exponents = _basis(entry, method)
+    for order in _orders(entry.system.nvars):
+        expected = initial_support_by_scan(C, exponents, order)
+        assert initial_support_of_elements(C, exponents, order) == expected
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
+def test_initial_support_depends_only_on_the_span(entry, method):
+    rng = np.random.default_rng(7)
+    for order in _orders(entry.system.nvars):
+        report, C, exponents = _basis(entry, method, order)
+        mu = report.multiplicity
+        G = rng.standard_normal((mu, mu)) + 1j * rng.standard_normal((mu, mu))
+        U = np.linalg.qr(G)[0]
+        mixed = initial_support_of_elements(C @ U, exponents, order)
+        assert mixed == report.initial_support
 
 
 # small integers and units, so that pivot candidates often tie in magnitude
@@ -520,6 +523,7 @@ _TIED_COEFFICIENTS = st.sampled_from([0, 0, 1, -1, 1j, -1j, 2, 1 + 1j, 0.5, 3e-9
 
 @st.composite
 def functional_bases(draw):
+    """A coefficient matrix over frame(d) of two variables, and its exponents."""
     frame = MonomialFrame.build(2, draw(st.integers(1, 3)))
     k = draw(st.integers(1, min(5, frame.size)))
     coefficients = st.lists(_TIED_COEFFICIENTS, min_size=frame.size, max_size=frame.size)
@@ -529,36 +533,33 @@ def functional_bases(draw):
         coefficients = st.lists(
             st.builds(complex, floats, floats), min_size=frame.size, max_size=frame.size
         )
-    rows = draw(st.lists(coefficients, min_size=k, max_size=k))
-    return [Functional(2, dict(zip(frame.exponents, r)), (0, 0)) for r in rows]
+    columns = draw(st.lists(coefficients, min_size=k, max_size=k))
+    return np.array(columns, dtype=complex).T, frame.exponents
 
 
 @settings(max_examples=200, deadline=None)
 @given(functional_bases(), st.sampled_from([GRLEX, MonomialOrder.weighted((1, 2))]))
-def test_initial_support_matches_scan_on_random_bases(elements, order):
+def test_initial_support_matches_scan_on_random_bases(basis, order):
     try:
-        expected = initial_support_by_scan(elements, order)
+        expected = initial_support_by_scan(*basis, order)
     except DegenerateBasisError:
         with pytest.raises(DegenerateBasisError):
-            initial_support_of_elements(elements, order)
+            initial_support_of_elements(*basis, order)
     else:
-        assert initial_support_of_elements(elements, order) == expected
+        assert initial_support_of_elements(*basis, order) == expected
 
 
 def test_initial_support_pivot_keeps_the_first_of_tied_rows():
-    # rows a and b tie at (1, 0). Pivoting on a, the first, leaves z with
-    # 1.2e-8 at (0, 1), above tol, so all three columns lead. Pivoting on b
-    # would leave 0.9e-8 and 0.75e-8 there, skip (0, 1), and reduce a row to
-    # zero at (0, 0).
-    rows = [
-        {(1, 0): 1},
-        {(1, 0): 1, (0, 1): 0.9e-8, (0, 0): 1},
-        {(1, 0): 0.5, (0, 1): 1.2e-8},
-    ]
-    elements = [Functional(2, r, (0, 0)) for r in rows]
+    # elements a and b, the first two columns, tie at (1, 0). Pivoting on a
+    # leaves z with 1.2e-8 at (0, 1), above tol, so all three exponents lead.
+    # Pivoting on b would leave 0.9e-8 and 0.75e-8 there, skip (0, 1), and
+    # reduce an element to zero at (0, 0).
+    exponents = ((0, 0), (0, 1), (1, 0))
+    a, b, z = [0, 0, 1], [1, 0.9e-8, 1], [0, 1.2e-8, 0.5]
+    C = np.array([a, b, z], dtype=complex).T
     expected = {(1, 0), (0, 1), (0, 0)}
-    assert initial_support_by_scan(elements) == expected
-    assert initial_support_of_elements(elements) == expected
+    assert initial_support_by_scan(C, exponents) == expected
+    assert initial_support_of_elements(C, exponents) == expected
 
 
 def test_initial_support_staircase_systems():

@@ -5,12 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualdeflate import (
-    kernel_basis,
-    least_squares,
-    numerical_rank,
-    prune_rows,
-)
+from dualdeflate import kernel_basis, least_squares, numerical_rank
+from dualdeflate.linalg import prune_rows
 
 from oracles import subspace_distance
 
