@@ -17,7 +17,6 @@ from .linalg import (
     numerical_rank,
 )
 from .dual import (
-    DualBasis,
     MonomialFrame,
     MultiplicityReport,
     build_mdz,
@@ -57,7 +56,6 @@ __all__ = [
     "kernel_basis",
     "least_squares",
     "numerical_rank",
-    "DualBasis",
     "MonomialFrame",
     "MultiplicityReport",
     "build_mdz",

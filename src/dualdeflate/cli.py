@@ -18,7 +18,7 @@ from . import __version__
 from .deflate import deflate_higher_order, deflation_matrix, predict_order
 from .dual import DEFAULT_MAX_DEGREE, dual_space_dz, dual_space_st
 from .errors import DimensionMismatchError, DualDeflateError, ParseError
-from .linalg import DEFAULT_RANK_TOL
+from .linalg import DEFAULT_RANK_TOL, _check_unit_interval
 from .parsing import parse_point, parse_system, serialize_system
 from .solver import DriverConfig, NewtonOptions, deflation_driver
 
@@ -134,8 +134,8 @@ def _run_multiplicity(args, report):
     report.update(
         method=args.method.upper(),
         multiplicity=result.multiplicity,
-        degree=result.dual_basis.degree,
-        per_degree_dims=list(result.dual_basis.per_degree_dims),
+        degree=result.degree,
+        per_degree_dims=list(result.per_degree_dims),
         initial_support=sorted(map(list, result.initial_support)),
         standard_monomials=sorted(map(list, result.initial_support)),
     )
@@ -160,17 +160,14 @@ def _augmented_report(aug, stage: int):
         "equations": aug.system.nequations,
         "variables": aug.system.nvars,
         "system": serialize_system(aug.system),
-        "lambda_estimate": (
-            None
-            if aug.lambda_estimate is None
-            else [_cnum(z) for z in aug.lambda_estimate]
-        ),
+        "lambda_estimate": [_cnum(z) for z in aug.lambda_estimate],
     }
 
 
 def _run_deflate(args, report):
     F = parse_system(_read(args.system))
     x0 = parse_point(_read(args.point), F)
+    _check_unit_interval(tol_coeff=args.tol_coeff)
     rng = np.random.default_rng(args.seed)
     policy = _parse_order(args.order)
     if policy == "first":

@@ -92,30 +92,38 @@ class DeflationOperator:
 
 @dataclass(frozen=True)
 class AugmentedSystem:
-    """A deflated system, possibly over extended variables (x, lambda)."""
+    """A deflated system over the original variables, then the multipliers."""
 
     system: PolySystem
-    n_original: int
-    multiplier_count: int
     order: int
-    kind: str
-    lambda_estimate: np.ndarray | None = None
+    lambda_estimate: np.ndarray  # one per multiplier; empty for a fixed operator
+
+    @property
+    def multiplier_count(self) -> int:
+        return len(self.lambda_estimate)
+
+    @property
+    def n_original(self) -> int:
+        return self.system.nvars - self.multiplier_count
+
+    @property
+    def kind(self) -> str:
+        if not self.multiplier_count:
+            return "fixed-operator"
+        return "first-order-B" if self.order == 1 else "higher-order-indeterminate"
 
     def extend_point(self, x: Sequence[complex]) -> np.ndarray:
         """Append the multiplier estimate to a point in the original variables."""
-        x = _as_vector(x, self.n_original)
-        if self.multiplier_count == 0:
-            return x
-        if self.lambda_estimate is None:
-            raise ValueError("no multiplier estimate available")
-        return np.concatenate([x, self.lambda_estimate])
+        return np.concatenate([_as_vector(x, self.n_original), self.lambda_estimate])
 
 
 @dataclass(frozen=True)
 class OrderPrediction:
-    d: int
     support_degrees: frozenset[int]
-    gamma: np.ndarray
+
+    @property
+    def d(self) -> int:
+        return min(self.support_degrees) - 1
 
 
 def deflation_matrix(
@@ -174,7 +182,7 @@ def predict_order(
             f"support {sorted(support)} gives no usable order; "
             "the point may be too far from the root or the tolerance too tight"
         )
-    return OrderPrediction(min(support) - 1, frozenset(support), gamma)
+    return OrderPrediction(frozenset(support))
 
 
 def _extended_names(F: PolySystem, k: int) -> tuple[str, ...]:
@@ -265,15 +273,10 @@ def deflate_higher_order(
     stacked = np.vstack([A0, b])
     rhs = np.zeros(stacked.shape[0], dtype=complex)
     rhs[A0.shape[0]:] = 1
-    lam0, _ = least_squares(stacked, rhs)
-
     return AugmentedSystem(
-        system=PolySystem(total, tuple(polys), _extended_names(F, k)),
-        n_original=n,
-        multiplier_count=k,
-        order=d,
-        kind="first-order-B" if d == 1 else "higher-order-indeterminate",
-        lambda_estimate=lam0,
+        PolySystem(total, tuple(polys), _extended_names(F, k)),
+        d,
+        least_squares(stacked, rhs),
     )
 
 
@@ -297,10 +300,6 @@ def deflate_with_operator(
         _weighted_sum(Polynomial.zero(F.nvars), weights, row) for row in A.entries
     )
     return AugmentedSystem(
-        system=PolySystem(F.nvars, polys, F.var_names),
-        n_original=F.nvars,
-        multiplier_count=0,
-        order=d,
-        kind="fixed-operator",
+        PolySystem(F.nvars, polys, F.var_names), d, np.zeros(0, dtype=complex)
     )
 

@@ -69,7 +69,7 @@ def _frame_cached(nvars: int, degree: int) -> MonomialFrame:
 
 
 @dataclass(frozen=True)
-class DualBasis:
+class MultiplicityReport:
     """Basis of the local dual space at a root, one element per column.
 
     Row i of the read-only ``coefficients`` holds the coefficients of D_a
@@ -77,16 +77,17 @@ class DualBasis:
     in coordinates shifted to the root. Column 0 is D_0.
     """
 
-    degree: int
     coefficients: np.ndarray
     per_degree_dims: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class MultiplicityReport:
-    multiplicity: int
-    dual_basis: DualBasis
     initial_support: frozenset[Exponent]
+
+    @property
+    def multiplicity(self) -> int:
+        return self.coefficients.shape[1]
+
+    @property
+    def degree(self) -> int:
+        return len(self.per_degree_dims) - 1
 
 
 def _frame_index(part: Callable[[int], np.ndarray], n: int, degree: int) -> np.ndarray:
@@ -236,7 +237,7 @@ def _dual_space(F, x0, tol, max_d, order, conditions):
     C.flags.writeable = False
     exponents = MonomialFrame.build(F.nvars, d).exponents
     init = frozenset(initial_support_of_elements(C, exponents, order, tol))
-    return MultiplicityReport(C.shape[1], DualBasis(d, C, tuple(dims)), init)
+    return MultiplicityReport(C, tuple(dims), init)
 
 
 def _with_d0(K: np.ndarray) -> np.ndarray:

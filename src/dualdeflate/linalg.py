@@ -82,15 +82,13 @@ def kernel_basis(
     return vh[rank:].conj().T
 
 
-def least_squares(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Minimum-norm least-squares solution of A x = b and its residual norm."""
+def least_squares(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solution of A x = b."""
     A = _check_finite(A)
     b = np.asarray(b, dtype=complex).reshape(-1)
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side contains NaN or Inf entries")
-    x, _, _, _ = np.linalg.lstsq(A, b, rcond=None)
-    residual = float(np.linalg.norm(A @ x - b))
-    return x, residual
+    return np.linalg.lstsq(A, b, rcond=None)[0]
 
 
 def prune_rows(M: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:

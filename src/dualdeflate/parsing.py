@@ -225,6 +225,9 @@ def serialize_system(F: PolySystem) -> str:
     return "\n".join(lines) + "\n"
 
 
+_REAL = r"[+-]?[\d.eE+-]+"
+
+
 def parse_point(text: str, F: PolySystem) -> np.ndarray:
     """Parse ``name = (re,im)`` lines into a coordinate vector for F."""
     values: dict[str, complex] = {}
@@ -241,14 +244,14 @@ def parse_point(text: str, F: PolySystem) -> np.ndarray:
             raise ParseError(f"unknown variable {name!r}", lineno, None)
         if name in values:
             raise ParseError(f"duplicate assignment to {name!r}", lineno, None)
-        m = re.fullmatch(
-            r"\(\s*([+-]?[\d.eE+-]+)\s*,\s*([+-]?[\d.eE+-]+)\s*\)", rhs
-        )
+        m = re.fullmatch(rf"\(\s*({_REAL})\s*,\s*({_REAL})\s*\)", rhs)
         try:
             if m:
                 values[name] = complex(float(m.group(1)), float(m.group(2)))
-            else:
+            elif re.fullmatch(rf"{_REAL}|[+-]?(inf|infinity|nan)", rhs, re.I):
                 values[name] = complex(float(rhs), 0.0)
+            else:  # float() also reads forms such as 1_0, which no number has
+                raise ValueError
         except ValueError:
             raise ParseError(f"cannot parse value {rhs!r}", lineno, None) from None
         if not cmath.isfinite(values[name]):

@@ -81,7 +81,7 @@ def gauss_newton(
         if r_norm == 0.0:
             converged = True
             break
-        dx, _ = least_squares(J, -r)
+        dx = least_squares(J, -r)
         threshold = opts.tol_step * max(1.0, float(np.linalg.norm(x)))
         if float(np.linalg.norm(dx)) <= threshold:
             # a vanishing correction is convergence regardless of whether it
@@ -150,31 +150,40 @@ class DriverConfig:
 
 @dataclass(frozen=True)
 class DriverResult:
-    refined_point: np.ndarray  # original variables only
-    extended_point: np.ndarray  # including multipliers of the final stage
+    extended_point: np.ndarray  # the original variables, then each stage's multipliers
     stages: tuple[AugmentedSystem, ...]
-    per_stage_rank: tuple[RankReport, ...]
+    per_stage_rank: tuple[RankReport, ...]  # one per Newton run, the last decides
     traces: tuple[NewtonTrace, ...]
     final_system: PolySystem
-    final_regular: bool
 
     @property
     def stage_count(self) -> int:
         return len(self.stages)
+
+    @property
+    def refined_point(self) -> np.ndarray:
+        """The extended point in the original variables only."""
+        added = sum(s.multiplier_count for s in self.stages)
+        return self.extended_point[: len(self.extended_point) - added]
+
+    @property
+    def final_regular(self) -> bool:
+        return self.per_stage_rank[-1].corank == 0
 
 
 def deflation_driver(
     F: PolySystem,
     x0: Sequence[complex],
     config: DriverConfig = DriverConfig(),
-    multiplicity: int | None = None,
 ) -> DriverResult:
     """Deflate until the root is regular, refining with Gauss-Newton throughout.
 
     Each stage refines the current point, checks regularity, and if singular
     appends one deflation (order chosen by the configured policy) and extends
     the point with the least-squares multiplier estimate. When a stage fails
-    to reduce the corank the order is escalated by one instead of aborting.
+    to reduce the corank the order is escalated by one instead of aborting;
+    an order the builder rejects as too low is retried one higher at the same
+    point and tolerance, and the fourth rejection in a run ends it.
     """
     x = _as_vector(x0, F.nvars)
     residual = F.residual(x)
@@ -183,9 +192,6 @@ def deflation_driver(
             f"relative residual {residual:.3e} exceeds {config.tol_root:.1e}"
         )
     rng = np.random.default_rng(config.seed)
-    cap = config.max_stages
-    if multiplicity is not None:
-        cap = min(cap, max(multiplicity - 1, 1))
 
     current: PolySystem = F
     point = x.copy()
@@ -194,8 +200,7 @@ def deflation_driver(
     traces: list[NewtonTrace] = []
     prev_corank: int | None = None
     escalate = 0
-    failed_attempts = 0
-    final_regular = False
+    rejections = 0
 
     while True:
         trace = gauss_newton(current, point, config.newton)
@@ -215,10 +220,7 @@ def deflation_driver(
         )
         regular, report = is_regular(current, point, tol_eff)
         ranks.append(report)
-        if regular:
-            final_regular = True
-            break
-        if len(stages) >= cap:
+        if regular or len(stages) >= config.max_stages:
             break
         # Corank counts are only comparable within the growing tower loosely:
         # a strict increase signals a failed stage and escalates the order.
@@ -233,31 +235,24 @@ def deflation_driver(
         d = _choose_order(current, point, config, rng, tol_eff)
         if config.order_policy != "first":
             d += escalate
-        try:
-            if d <= 1:
-                aug = deflate_first_order(current, point, tol_eff, rng)
-            else:
-                aug = deflate_higher_order(current, d, point, tol_eff, rng)
-        except OrderTooLowError:
-            escalate += 1
-            failed_attempts += 1
-            if failed_attempts > 3:
+        while rejections < 4:
+            try:
+                if d <= 1:
+                    aug = deflate_first_order(current, point, tol_eff, rng)
+                else:
+                    aug = deflate_higher_order(current, d, point, tol_eff, rng)
                 break
-            continue
+            except OrderTooLowError:
+                rejections += 1
+                escalate += 1
+                d += 1
+        else:
+            break
         stages.append(aug)
         point = aug.extend_point(point)
         current = aug.system
 
-    original = point[: F.nvars]
-    return DriverResult(
-        refined_point=original,
-        extended_point=point,
-        stages=tuple(stages),
-        per_stage_rank=tuple(ranks),
-        traces=tuple(traces),
-        final_system=current,
-        final_regular=final_regular,
-    )
+    return DriverResult(point, tuple(stages), tuple(ranks), tuple(traces), current)
 
 
 def _choose_order(

@@ -490,7 +490,7 @@ def old_deflate_first_order(F, x0, tol_rank=1e-8, rng=None):
     stacked = np.vstack([J0 @ Beff, b[None, :]])
     rhs = np.zeros(N + 1, dtype=complex)
     rhs[-1] = 1
-    lam0, _ = least_squares(stacked, rhs)
+    lam0 = least_squares(stacked, rhs)
 
     system = PolySystem(total, tuple(polys), _extended_names(F, k))
     return OldAugmentedSystem(
@@ -544,7 +544,7 @@ def old_deflate_higher_order(F, d, x0, tol_rank=1e-8, rng=None):
     stacked = np.vstack([Aval, b])
     rhs = np.zeros(stacked.shape[0], dtype=complex)
     rhs[Aval.shape[0]:] = 1
-    lam0, _ = least_squares(stacked, rhs)
+    lam0 = least_squares(stacked, rhs)
 
     system = PolySystem(total, tuple(polys), _extended_names(F, k))
     return OldAugmentedSystem(

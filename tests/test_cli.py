@@ -154,6 +154,8 @@ def test_out_of_range_setting_exit_code(files, capsys, argv, message):
         (["deflate", "--tol-rank", "5"], "tol_rank must lie in (0, 1)"),
         (["deflate", "--tol-rank", "-1"], "tol_rank must lie in (0, 1)"),
         (["deflate", "--order", "2", "--tol-rank", "0"], "tol_rank must lie in (0, 1)"),
+        (["deflate", "--order", "2", "--tol-coeff", "5"], "tol_coeff must lie in (0, 1)"),
+        (["deflate", "--order", "first", "--tol-coeff", "-1"], "tol_coeff must lie in (0, 1)"),
         (["predict-order", "--tol-coeff", "-1"], "tol_coeff must lie in (0, 1)"),
         (["predict-order", "--tol-rank", "2"], "tol_rank must lie in (0, 1)"),
     ],
@@ -179,6 +181,34 @@ def test_solve_determinism(files, capsys):
     for _ in range(2):
         assert main(argv) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
+        del report["timings"]
+        reports.append(json.dumps(report, sort_keys=True))
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("system", [SEC61_TEXT, EX2_TEXT], ids=["sec61", "ex2"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["multiplicity", "--method", "dz"],
+        ["multiplicity", "--method", "st"],
+        ["predict-order", "--seed", "0"],
+        ["deflate", "--order", "auto", "--seed", "0"],
+        ["deflate", "--order", "first", "--seed", "0"],
+        ["deflate", "--order", "2", "--seed", "0"],
+        ["matrix", "--order", "2"],
+    ],
+    ids=" ".join,
+)
+def test_reports_are_deterministic_apart_from_timings(files, capsys, system, argv):
+    command, *flags = argv
+    inputs = [files("s.txt", system)]
+    if command != "matrix":
+        inputs.append(files("p.txt", ORIGIN2))
+    reports = []
+    for _ in range(2):
+        code, report = run_json(capsys, [command, *inputs, *flags])
+        assert code == EXIT_OK
         del report["timings"]
         reports.append(json.dumps(report, sort_keys=True))
     assert reports[0] == reports[1]

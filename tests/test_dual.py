@@ -104,7 +104,7 @@ def assert_mdz_matches_lookup(F, x0, d, tol=1e-8):
 
 @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
 def test_mdz_bits_match_lookup_on_corpus(entry):
-    dims = dual_space_dz(entry.system, entry.root).dual_basis.per_degree_dims
+    dims = dual_space_dz(entry.system, entry.root).per_degree_dims
     for d in range(1, len(dims)):
         assert_mdz_matches_lookup(entry.system, entry.root, d)
 
@@ -255,15 +255,15 @@ def test_methods_agree_on_corpus(entry):
     dz = dual_space_dz(entry.system, entry.root)
     st = dual_space_st(entry.system, entry.root)
     assert dz.multiplicity == st.multiplicity == entry.multiplicity
-    assert dz.dual_basis.per_degree_dims == st.dual_basis.per_degree_dims
-    A, B = dz.dual_basis.coefficients, st.dual_basis.coefficients
+    assert dz.per_degree_dims == st.per_degree_dims
+    A, B = dz.coefficients, st.coefficients
     assert subspace_distance(A, B) < 1e-8
 
 
 @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
 def test_dual_basis_annihilates_multiples(entry):
     report = dual_space_dz(entry.system, entry.root)
-    d = report.dual_basis.degree
+    d = report.degree
     scale = max(p.max_coeff_magnitude() for p in entry.system.polys)
     # cap the multiple degree for the very large case; the annihilation
     # property is degree-by-degree, so a truncation is still a real check
@@ -279,7 +279,7 @@ def test_dual_basis_annihilates_multiples(entry):
                     - Polynomial.constant(entry.system.nvars, entry.root[i])
                 ) ** e
             g = shifted_mono * f
-            for v in report.dual_basis.coefficients.T:
+            for v in report.coefficients.T:
                 L = dict(zip(exponents, v))
                 value = apply_functional_oracle(L, entry.root, g.terms)
                 assert abs(value) < 1e-6 * scale
@@ -290,11 +290,10 @@ def assert_matches_uncompressed(report, F, x0, method):
     each matrix to the SVD whole, and a dual basis within 1e-10: a
     B(degree) x multiplicity coefficient matrix whose column 0 is e_0."""
     dims, degree, kernel = dual_space_uncompressed(F, x0, method)
-    basis = report.dual_basis
-    assert basis.per_degree_dims == dims
-    assert basis.degree == degree
+    assert report.per_degree_dims == dims
+    assert report.degree == degree
     assert report.multiplicity == dims[-1]
-    C, frame = basis.coefficients, MonomialFrame.build(F.nvars, degree)
+    C, frame = report.coefficients, MonomialFrame.build(F.nvars, degree)
     assert C.shape == (frame.size, report.multiplicity)
     assert np.array_equal(C[:, 0], np.eye(frame.size)[0])
     assert not C[0, 1:].any()
@@ -380,7 +379,7 @@ def test_st_svd_gets_at_most_the_closedness_candidates(monkeypatch):
     wherever that is below the frame's B(d) - 1."""
     shapes = record_shapes(monkeypatch)
     report = dual_space_st(LEC02.system, LEC02.root)
-    dims, n = report.dual_basis.per_degree_dims, LEC02.system.nvars
+    dims, n = report.per_degree_dims, LEC02.system.nvars
     assert len(shapes) == len(dims) - 1
     below = 0
     for d, (_, (rows, cols)) in enumerate(shapes, start=1):
@@ -420,7 +419,7 @@ def test_st_on_candidates_matches_frame_wide_reference(entry, monkeypatch):
 
 def test_per_degree_dims_monotone_and_stable():
     for entry in CORPUS:
-        dims = dual_space_dz(entry.system, entry.root).dual_basis.per_degree_dims
+        dims = dual_space_dz(entry.system, entry.root).per_degree_dims
         assert dims[0] == 1
         assert all(b >= a for a, b in zip(dims, dims[1:]))
         assert dims[-1] == dims[-2] == entry.multiplicity
@@ -433,7 +432,7 @@ def test_shift_invariance():
     a = dual_space_dz(EX2.system, [0, 0])
     b = dual_space_dz(moved, c)
     assert a.multiplicity == b.multiplicity
-    assert a.dual_basis.per_degree_dims == b.dual_basis.per_degree_dims
+    assert a.per_degree_dims == b.per_degree_dims
     assert a.initial_support == b.initial_support
 
 
@@ -490,9 +489,8 @@ def _orders(n):
 
 def _basis(entry, method, order=GRLEX):
     report = method(entry.system, entry.root, order=order)
-    basis = report.dual_basis
-    exponents = MonomialFrame.build(entry.system.nvars, basis.degree).exponents
-    return report, basis.coefficients, exponents
+    exponents = MonomialFrame.build(entry.system.nvars, report.degree).exponents
+    return report, report.coefficients, exponents
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -109,9 +109,8 @@ def test_least_squares_residual_orthogonality(m, n, seed):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
     b = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    x, res = least_squares(A, b)
+    x = least_squares(A, b)
     r = A @ x - b
-    assert res == pytest.approx(np.linalg.norm(r))
     # normal equations: the residual is orthogonal to the column space
     assert np.linalg.norm(A.conj().T @ r) < 1e-8 * max(1.0, np.linalg.norm(b))
 
@@ -120,8 +119,8 @@ def test_least_squares_minimum_norm():
     # rank-deficient: among all minimizers, the returned one has least norm
     A = np.array([[1.0, 1.0]])
     b = np.array([2.0])
-    x, res = least_squares(A, b)
-    assert res < 1e-12
+    x = least_squares(A, b)
+    assert np.linalg.norm(A @ x - b) < 1e-12
     assert np.allclose(x, [1.0, 1.0], atol=1e-10)
 
 

@@ -141,6 +141,9 @@ def test_point_parsing():
         ("x = 0\ny = -inf\n", "not finite"),
         ("x = 1e400\ny = 0\n", "not finite"),
         ("x = 0\ny = (1,1e400)\n", "not finite"),
+        ("x = 1_0\ny = 0\n", "cannot parse value '1_0' at line 1"),
+        ("x = 0\ny = 1_0e-9\n", "cannot parse value '1_0e-9' at line 2"),
+        ("x = 0\ny = -1_0\n", "cannot parse value '-1_0' at line 2"),
     ],
 )
 def test_point_errors(text, fragment):

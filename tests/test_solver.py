@@ -12,7 +12,8 @@ from dualdeflate import (
     is_regular,
     parse_system,
 )
-from dualdeflate.errors import NotARootError
+from dualdeflate import solver
+from dualdeflate.errors import NotARootError, OrderTooLowError
 
 from corpus import CORPUS, EX2, SEC61
 
@@ -145,7 +146,9 @@ def test_driver_regularizes_perturbed_starts(name):
         + 1j * rng.standard_normal(len(entry.root))
     )
     result = deflation_driver(
-        entry.system, start, DriverConfig(seed=5), multiplicity=entry.multiplicity
+        entry.system,
+        start,
+        DriverConfig(seed=5, max_stages=max(entry.multiplicity - 1, 1)),
     )
     assert result.final_regular
     assert result.stage_count <= max(entry.multiplicity - 1, 1)
@@ -176,6 +179,52 @@ def test_driver_stage_cap_reported_as_failure():
     assert not result.final_regular
     assert result.stage_count == 1
     assert result.per_stage_rank[-1].corank > 0
+    free = deflation_driver(
+        SEC61.system, [0.0, 0.0], DriverConfig(order_policy="first", seed=1)
+    )
+    assert free.stage_count == 2
+    assert free.final_regular
+
+
+def test_driver_retries_a_rejected_order_at_the_same_point(monkeypatch):
+    # the builder rejects the first order once; the retry is one order up at
+    # the same point and tolerance, with no second Newton run for the stage
+    calls = []
+    build = solver.deflate_higher_order
+
+    def reject_once(F, d, x0, tol, rng):
+        calls.append((d, np.array(x0), tol))
+        if len(calls) == 1:
+            raise OrderTooLowError("rejected for the test")
+        return build(F, d, x0, tol, rng)
+
+    monkeypatch.setattr(solver, "deflate_higher_order", reject_once)
+    start = SEC61.root + 1e-6 * (1 + 1j) / np.sqrt(2)
+    result = deflation_driver(
+        SEC61.system, start, DriverConfig(seed=1, order_policy=2)
+    )
+    assert [d for d, _, _ in calls] == [2, 3]
+    assert np.array_equal(calls[0][1], calls[1][1])
+    assert calls[0][2] == calls[1][2]
+    assert result.stage_count == 1 and result.stages[0].order == 3
+    assert len(result.per_stage_rank) == len(result.traces) == 2
+    assert result.final_regular
+
+
+def test_driver_fourth_rejection_ends_the_run(monkeypatch):
+    orders = []
+
+    def reject(F, d, x0, tol, rng):
+        orders.append(d)
+        raise OrderTooLowError("rejected for the test")
+
+    monkeypatch.setattr(solver, "deflate_higher_order", reject)
+    result = deflation_driver(
+        SEC61.system, [0.0, 0.0], DriverConfig(seed=1, order_policy=2)
+    )
+    assert orders == [2, 3, 4, 5]
+    assert result.stage_count == 0 and not result.final_regular
+    assert len(result.per_stage_rank) == len(result.traces) == 1
 
 
 def test_driver_determinism():
@@ -190,14 +239,3 @@ def test_driver_determinism():
     for sa, sb in zip(a.stages, b.stages):
         assert sa.kind == sb.kind and sa.order == sb.order
         assert sa.system.polys == sb.system.polys
-
-
-def test_driver_multiplicity_caps_the_stages():
-    # a known multiplicity mu allows at most mu - 1 stages
-    config = DriverConfig(order_policy="first", seed=1)
-    capped = deflation_driver(SEC61.system, [0, 0], config, multiplicity=2)
-    assert capped.stage_count == 1
-    assert not capped.final_regular
-    free = deflation_driver(SEC61.system, [0, 0], config)
-    assert free.stage_count == 2
-    assert free.final_regular
