@@ -2,14 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .poly import (
-    GRLEX,
-    MonomialOrder,
-    Polynomial,
-    PolySystem,
-    UnivariateSupport,
-    substitute_line,
-)
+from .poly import GRLEX, MonomialOrder, Polynomial, PolySystem
 from .linalg import (
     RankReport,
     kernel_basis,
@@ -50,8 +43,6 @@ __all__ = [
     "MonomialOrder",
     "Polynomial",
     "PolySystem",
-    "UnivariateSupport",
-    "substitute_line",
     "RankReport",
     "kernel_basis",
     "least_squares",

@@ -2,7 +2,8 @@
 
 Subcommands: multiplicity, predict-order, deflate, solve, matrix.
 Reports go to stdout (text or JSON), diagnostics to stderr. Exit codes:
-0 success, 1 parse error, 2 numerical failure, 3 dimension mismatch.
+0 success, 1 parse error, 2 numerical failure or out of memory, 3 dimension
+mismatch.
 """
 
 from __future__ import annotations
@@ -258,6 +259,9 @@ def main(argv=None) -> int:
         return EXIT_DIMENSION
     except (DualDeflateError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_NUMERICAL
     timings = {"total_seconds": time.perf_counter() - start}
     _emit(report, args.format, timings)

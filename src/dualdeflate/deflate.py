@@ -33,7 +33,6 @@ from .poly import (
     PolySystem,
     _as_vector,
     _CompiledRows,
-    substitute_line,
     total_degree,
 )
 
@@ -161,10 +160,12 @@ def predict_order(
 ) -> OrderPrediction:
     """Minimal deflation order from the support of F along a kernel line.
 
-    Draws a generic direction in the numerical kernel of the Jacobian,
-    expands H(t) = F(x0 + gamma t), keeps the degrees whose coefficients
-    exceed tol_coeff relative to the per-equation maximum, and returns
-    min(support) - 1.
+    Draws a generic unit direction gamma in the numerical kernel of the
+    Jacobian and takes the coefficients of H(t) = F(x0 + gamma t). H has
+    degree at most D, the largest total degree in F, so they are the discrete
+    Fourier transform of its values at the D + 1 roots of unity. It keeps the
+    degrees k >= 1 whose coefficients exceed tol_coeff relative to each
+    equation's largest coefficient in H or in F, and returns min(support) - 1.
     """
     _check_unit_interval(tol_rank=tol_rank, tol_coeff=tol_coeff)
     rng = rng if rng is not None else np.random.default_rng()
@@ -174,9 +175,11 @@ def predict_order(
         raise AlreadyRegularError("Jacobian has full rank; nothing to predict")
     gamma = K @ unit_modulus(rng, K.shape[1])
     gamma = gamma / np.linalg.norm(gamma)
-    H = substitute_line(F, x0, gamma)
-    support = H.support(tol_coeff)
-    support.discard(0)
+    m = 1 + max((total_degree(a) for p in F.polys for a, _ in p.items()), default=0)
+    roots = np.exp(2j * np.pi * np.arange(m) / m)
+    H = np.abs(np.fft.fft([F.evaluate(x0 + w * gamma) for w in roots], axis=0) / m)
+    above = H[1:] > tol_coeff * np.maximum(H.max(axis=0), F._compiled.scales)
+    support = {k + 1 for k in np.flatnonzero(above.any(axis=1)).tolist()}
     if not support or min(support) < 2:
         raise InconclusivePredictionError(
             f"support {sorted(support)} gives no usable order; "
@@ -251,10 +254,7 @@ def deflate_higher_order(
         A = deflation_matrix(F, d)
         rows = A.entries
         A0 = A.evaluate(x0)
-        ascale = max(
-            (e.max_coeff_magnitude() for row in rows for e in row), default=1.0
-        )
-        m = numerical_rank(A0, tol_rank, scale=max(ascale, 1.0)).corank
+        m = numerical_rank(A0, tol_rank, scale=max([1.0, *A._compiled.scales])).corank
         if m == 0:
             raise OrderTooLowError(
                 f"derivative matrix of order {d} has full rank; raise the order"

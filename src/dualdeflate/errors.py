@@ -9,10 +9,6 @@ class DimensionMismatchError(DualDeflateError):
     """Operands disagree on variable count or vector length."""
 
 
-class DegenerateDirectionError(DualDeflateError):
-    """A direction vector required to be nonzero was (numerically) zero."""
-
-
 class NotARootError(DualDeflateError):
     """The supplied point does not satisfy the system to within tolerance."""
 

@@ -22,7 +22,7 @@ from .poly import Polynomial, PolySystem
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
-  | (?P<number>(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?)
+  | (?P<number>([0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)([eE][+-]?[0-9]+)?)
   | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<op>[-+*^();,:=])
     """,
@@ -225,7 +225,7 @@ def serialize_system(F: PolySystem) -> str:
     return "\n".join(lines) + "\n"
 
 
-_REAL = r"[+-]?[\d.eE+-]+"
+_REAL = r"[+-]?[0-9.eE+-]+"
 
 
 def parse_point(text: str, F: PolySystem) -> np.ndarray:

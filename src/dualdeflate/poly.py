@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DegenerateDirectionError, DimensionMismatchError
+from .errors import DimensionMismatchError
 
 Exponent = tuple[int, ...]
 
@@ -120,10 +120,6 @@ class Polynomial:
         return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
-    def monomial(cls, nvars: int, alpha: Exponent, c: complex = 1) -> "Polynomial":
-        return cls(nvars, {tuple(alpha): c})
-
-    @classmethod
     def variable(cls, nvars: int, i: int) -> "Polynomial":
         e = [0] * nvars
         e[i] = 1
@@ -137,9 +133,6 @@ class Polynomial:
 
     def items(self):
         return self._terms.items()
-
-    def coefficient(self, alpha: Exponent) -> complex:
-        return self._terms.get(tuple(alpha), 0j)
 
     def max_coeff_magnitude(self) -> float:
         if not self._terms:
@@ -256,12 +249,11 @@ class Polynomial:
             raise DimensionMismatchError(
                 f"shift exponent has length {len(alpha)}, expected {self.nvars}"
             )
+        if min(alpha, default=0) < 0:
+            raise ValueError(f"negative entry in shift exponent {alpha}")
         terms = {
             tuple(a + s for a, s in zip(e, alpha)): c for e, c in self._terms.items()
         }
-        if min(alpha, default=0) < 0:
-            # a negative entry may leave a negative exponent: let __init__ check
-            return Polynomial(self.nvars, terms)
         return Polynomial._trusted(self.nvars, terms)
 
     def shift(self, basepoint: Sequence[complex]) -> "Polynomial":
@@ -497,58 +489,3 @@ class PolySystem:
         """Max relative residual |f_j(pt)| / max(1, coeff scale of f_j)."""
         vals = np.abs(self.evaluate(pt)) / self.coeff_scales()
         return float(vals.max())
-
-
-@dataclass(frozen=True)
-class UnivariateSupport:
-    """Per-equation univariate coefficient maps of H(t) = F(x0 + gamma*t)."""
-
-    coeffs: tuple[dict[int, complex], ...]
-    max_magnitudes: tuple[float, ...]
-
-    def support(self, tol_coeff: float) -> set[int]:
-        """Degrees whose coefficient exceeds tol_coeff relative per equation."""
-        degs: set[int] = set()
-        for eq, scale in zip(self.coeffs, self.max_magnitudes):
-            if scale == 0:
-                continue
-            degs.update(k for k, c in eq.items() if abs(c) > tol_coeff * scale)
-        return degs
-
-
-def substitute_line(
-    F: PolySystem, x0: Sequence[complex], gamma: Sequence[complex]
-) -> UnivariateSupport:
-    """Exact expansion of H(t) = F(x0 + gamma*t), one coefficient map per f_j."""
-    v = _as_vector(x0, F.nvars)
-    g = _as_vector(gamma, F.nvars, "direction")
-    if not np.any(g):
-        raise DegenerateDirectionError("direction vector is zero")
-    coeffs = []
-    mags = []
-    for p in F.polys:
-        eq: dict[int, complex] = {}
-        for alpha, c in p.items():
-            # expand prod_i (x0_i + g_i t)^a_i via binomial coefficients
-            conv = {0: c + 0j}
-            for xi, gi, a in zip(v, g, alpha):
-                if a == 0:
-                    continue
-                base = {
-                    k: math.comb(a, k) * xi ** (a - k) * gi**k for k in range(a + 1)
-                }
-                nxt: dict[int, complex] = {}
-                for d1, c1 in conv.items():
-                    for d2, c2 in base.items():
-                        nxt[d1 + d2] = nxt.get(d1 + d2, 0) + c1 * c2
-                conv = nxt
-            for d, cv in conv.items():
-                eq[d] = eq.get(d, 0) + cv
-        eq = {d: cv for d, cv in eq.items() if cv != 0}
-        coeffs.append(eq)
-        # Reference scale per equation: the restriction's own largest
-        # coefficient, floored by the polynomial's coefficient scale so a
-        # unit-norm direction does not inflate relative magnitudes.
-        h_max = max((abs(cv) for cv in eq.values()), default=0.0)
-        mags.append(max(h_max, p.max_coeff_magnitude()) if eq else 0.0)
-    return UnivariateSupport(tuple(coeffs), tuple(mags))

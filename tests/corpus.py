@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from hypothesis import strategies as st
 
 from dualdeflate import Polynomial, PolySystem, parse_system
 
@@ -126,7 +127,7 @@ def monomial_ideal_entry(
                 )
         subs.append(s)
     polys = [
-        compose(Polynomial.monomial(nvars, g), subs) for g in generators
+        compose(Polynomial(nvars, {g: 1}), subs) for g in generators
     ]
     for k in range(1, len(polys)):
         for j in range(k):
@@ -141,6 +142,21 @@ def monomial_ideal_entry(
         mu_source="staircase",
         generators=tuple(generators),
     )
+
+
+@st.composite
+def monomial_ideals(draw):
+    """A zero-dimensional monomial ideal: a pure power of every variable,
+    plus up to two mixed monomials; with its variable count and a seed."""
+    n = draw(st.integers(1, 3))
+    powers = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    gens = [tuple(a if j == i else 0 for j in range(n)) for i, a in enumerate(powers)]
+    if n > 1:
+        mixed = st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(
+            lambda e: sum(x > 0 for x in e) >= 2
+        )
+        gens += draw(st.lists(mixed.map(tuple), max_size=2))
+    return tuple(gens), n, draw(st.integers(0, 2**16))
 
 
 RANDOMIZED = (

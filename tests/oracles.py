@@ -9,7 +9,9 @@ code in the package, kept as references for it: ``evaluate``, the
 term-by-term evaluation that the compiled ``PolySystem`` and
 ``SymbolicMatrix`` evaluation must match bit for bit; ``compose``, the
 substitution through polynomial products that ``Polynomial.shift`` must
-match; ``corank_drop_order``, the exact deflation order at a known root that
+match; ``line_restriction``, the binomial expansion of F along a line,
+whose support order prediction must find from values on the unit circle;
+``corank_drop_order``, the exact deflation order at a known root that
 order prediction must find; ``mdz_by_lookup``, the per-entry construction
 that the vectorised assembly must match bit for bit;
 ``dual_space_uncompressed``, the degree loop that hands each scaled matrix
@@ -164,6 +166,70 @@ def shift_by_compose(p: Polynomial, basepoint: Sequence[complex]) -> Polynomial:
     return compose(p, [yi + v for yi, v in zip(y, basepoint)])
 
 
+def line_restriction(
+    F: PolySystem, x0: Sequence[complex], gamma: Sequence[complex]
+) -> list[dict[int, complex]]:
+    """H(t) = F(x0 + gamma*t) by binomial expansion, one coefficient map per f_j.
+
+    Each term's prod_i (x0_i + gamma_i t)^a_i is expanded binomially and
+    the factors are convolved one variable at a time.
+    """
+    v = _as_vector(x0, F.nvars)
+    g = _as_vector(gamma, F.nvars, "direction")
+    out = []
+    for p in F.polys:
+        eq: dict[int, complex] = {}
+        for alpha, c in p.items():
+            conv = {0: c + 0j}
+            for xi, gi, a in zip(v, g, alpha):
+                if a == 0:
+                    continue
+                base = {k: comb(a, k) * xi ** (a - k) * gi**k for k in range(a + 1)}
+                nxt: dict[int, complex] = {}
+                for d1, c1 in conv.items():
+                    for d2, c2 in base.items():
+                        nxt[d1 + d2] = nxt.get(d1 + d2, 0) + c1 * c2
+                conv = nxt
+            for d, cv in conv.items():
+                eq[d] = eq.get(d, 0) + cv
+        out.append({d: cv for d, cv in eq.items() if cv != 0})
+    return out
+
+
+def line_support(
+    F: PolySystem, x0: Sequence[complex], gamma: Sequence[complex], tol_coeff: float
+) -> set[int]:
+    """Degrees k >= 1 of the expanded restriction that order prediction keeps.
+
+    A coefficient counts when it exceeds tol_coeff times the larger of the
+    restriction's and the polynomial's largest coefficient magnitude; an
+    equation that vanishes on the line contributes nothing.
+    """
+    degrees: set[int] = set()
+    for p, eq in zip(F.polys, line_restriction(F, x0, gamma)):
+        if not eq:
+            continue
+        scale = max(max(abs(cv) for cv in eq.values()), p.max_coeff_magnitude())
+        degrees.update(k for k, cv in eq.items() if k and abs(cv) > tol_coeff * scale)
+    return degrees
+
+
+def predicted_support(
+    F: PolySystem,
+    x0: Sequence[complex],
+    tol_rank: float,
+    tol_coeff: float,
+    rng: np.random.Generator,
+) -> set[int]:
+    """``line_support`` along the kernel direction that order prediction draws."""
+    x0 = _as_vector(x0, F.nvars)
+    K = kernel_basis(F.jacobian_at(x0), tol_rank, scale=F.jacobian_scale())
+    if K.shape[1] == 0:
+        raise AlreadyRegularError("Jacobian has full rank; nothing to predict")
+    gamma = K @ unit_modulus(rng, K.shape[1])
+    return line_support(F, x0, gamma / np.linalg.norm(gamma), tol_coeff)
+
+
 def subspace_distance(A: np.ndarray, B: np.ndarray) -> float:
     """Gap between column spans: the 2-norm of the projector difference.
 
@@ -239,13 +305,14 @@ def mdz_by_lookup(shifted, n: int, d: int) -> np.ndarray:
     rows_frame = MonomialFrame.build(n, d - 1)
     cols = MonomialFrame.build(n, d).nonzero()
     M = np.zeros((len(shifted) * rows_frame.size, len(cols)), dtype=complex)
+    coefficients = [p.terms for p in shifted]
     r = 0
     for alpha in rows_frame.exponents:
-        for p in shifted:
+        for terms in coefficients:
             for c, beta in enumerate(cols):
                 rem = exponent_sub(beta, alpha)
                 if rem is not None:
-                    M[r, c] = p.coefficient(rem)
+                    M[r, c] = terms.get(rem, 0)
             r += 1
     return M
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from dualdeflate import parse_system
+from dualdeflate import cli, parse_system
 from dualdeflate.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -284,6 +284,30 @@ def test_bad_point_exit_code(files, capsys):
 def test_non_finite_point_exit_code(files, capsys):
     point = files("p.txt", "x1 = nan\nx2 = 0\n")
     assert main(["multiplicity", files("s.txt", EX2_TEXT), point]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize(
+    "system, point",
+    [
+        ("vars: x\nx - \u0661;\n", "x = 1\n"),
+        ("vars: x\nx^2;\n", "x = \u0662\n"),
+        ("vars: x\nx^2;\n", "x = (\u0661,\u0662)\n"),
+    ],
+)
+def test_non_ascii_digit_exit_code(files, capsys, system, point):
+    code = main(["multiplicity", files("s.txt", system), files("p.txt", point)])
+    assert code == EXIT_PARSE
+    assert "error:" in capsys.readouterr().err
+
+
+def test_out_of_memory_exit_code(files, capsys, monkeypatch):
+    def exhaust(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "deflation_driver", exhaust)
+    code = main(["solve", files("s.txt", EX2_TEXT), files("p.txt", ORIGIN2)])
+    assert code == EXIT_NUMERICAL
+    assert "error: out of memory" in capsys.readouterr().err
 
 
 def test_non_root_point_exit_code(files, capsys):

@@ -1,10 +1,13 @@
 """Derivative matrices, order prediction, and the deflation constructions."""
 
+import re
 from math import comb
 
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualdeflate import (
     DeflationOperator,
@@ -23,17 +26,27 @@ from dualdeflate.deflate import unit_modulus
 from dualdeflate.errors import (
     AlreadyRegularError,
     DimensionMismatchError,
+    InconclusivePredictionError,
     OrderTooLowError,
 )
 
 import oracles
-from corpus import A2_EXAMPLE, CORPUS, EX2, SEC61
+from corpus import (
+    A2_EXAMPLE,
+    CORPUS,
+    EX2,
+    SEC61,
+    monomial_ideal_entry,
+    monomial_ideals,
+)
 from oracles import (
     apply_operator,
     brute_derivative,
     corank_drop_order,
     evaluate,
+    line_support,
     monomial_multiply,
+    predicted_support,
     symbolic_entry,
     sympy_mixed_derivative,
     terms_to_sympy,
@@ -171,6 +184,75 @@ def test_predict_order_matches_exact_restriction_on_corpus():
             rng = np.random.default_rng(seed)
             pred = predict_order(entry.system, entry.root, rng=rng)
             assert pred.d == exact, (entry.name, seed, pred.support_degrees)
+
+
+OFFSET = 1e-6 * (1 + 1j) / np.sqrt(2)
+
+
+def assert_support_is_exact(F, x0, tol_rank, tol_coeff, seed):
+    """predict_order keeps the support of the exact restriction along the same
+    direction, or both stop with the same error."""
+    args = (F, x0, tol_rank, tol_coeff)
+    try:
+        want = predicted_support(*args, np.random.default_rng(seed))
+    except AlreadyRegularError:
+        with pytest.raises(AlreadyRegularError):
+            predict_order(*args, np.random.default_rng(seed))
+        return
+    if want and min(want) >= 2:
+        assert predict_order(*args, np.random.default_rng(seed)).support_degrees == want
+    else:
+        with pytest.raises(
+            InconclusivePredictionError, match=re.escape(f"support {sorted(want)} ")
+        ):
+            predict_order(*args, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
+def test_predicted_support_matches_exact_restriction(entry):
+    # from 1e-6 off the root the Jacobian's kernel shows at a wider tolerance
+    for x0, tol_rank in ((entry.root, 1e-8), (entry.root + OFFSET, 1e-5)):
+        for seed in range(5):
+            for tol_coeff in (1e-4, 1e-8, 1e-12):
+                assert_support_is_exact(entry.system, x0, tol_rank, tol_coeff, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(monomial_ideals(), st.integers(0, 4), st.sampled_from([1e-4, 1e-8, 1e-12]))
+def test_predicted_support_matches_exact_restriction_on_monomial_ideals(
+    ideal, seed, tol_coeff
+):
+    gens, n, system_seed = ideal
+    entry = monomial_ideal_entry("random", gens, n, system_seed)
+    assert_support_is_exact(entry.system, entry.root, 1e-8, tol_coeff, seed)
+    assert_support_is_exact(entry.system, entry.root + OFFSET, 1e-5, tol_coeff, seed)
+
+
+@pytest.mark.parametrize("factor", [1, 1e-6])
+def test_support_scale_is_relative(factor):
+    # a t^2 part of 1e-3 beside a t^3 part of 1000 counts only at a tight
+    # tolerance, and scaling the equation changes nothing
+    F = PolySystem(1, (Polynomial(1, {(3,): 1000 * factor, (2,): 1e-3 * factor}),))
+    for tol_coeff, want in ((1e-4, {3}), (1e-7, {2, 3})):
+        pred = predict_order(F, [0], tol_coeff=tol_coeff, rng=np.random.default_rng(0))
+        assert pred.support_degrees == want
+        assert line_support(F, [0], [1], tol_coeff) == want
+
+
+def test_support_scale_follows_a_larger_restriction():
+    # along the line from 10, (x - 10)^2 x^4 is t^2 (10 + t)^4: its t^2
+    # coefficient 1e4 outgrows F's largest coefficient 100, so t^6 drops
+    F = parse_system("vars: x\n(x - 10)^2 * x^4;")
+    pred = predict_order(F, [10], tol_coeff=1e-3, rng=np.random.default_rng(0))
+    assert pred.support_degrees == {2, 3, 4, 5}
+    assert line_support(F, [10], [1], 1e-3) == {2, 3, 4, 5}
+
+
+def test_predict_order_inconclusive_support_raises():
+    # at 1e-3 from the double root of x^2 the line term 2e-3 t is in the support
+    F = parse_system("vars: x\nx^2;")
+    with pytest.raises(InconclusivePredictionError, match=re.escape("support [1, 2] ")):
+        predict_order(F, [1e-3], tol_rank=0.5)
 
 
 def test_predict_order_values():

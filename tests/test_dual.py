@@ -31,7 +31,15 @@ from dualdeflate.errors import (
     NonIsolatedSuspectError,
     NotARootError,
 )
-from corpus import CORPUS, EX1, EX2, LEC02, SEC61, monomial_ideal_entry
+from corpus import (
+    CORPUS,
+    EX1,
+    EX2,
+    LEC02,
+    SEC61,
+    monomial_ideal_entry,
+    monomial_ideals,
+)
 from oracles import (
     apply_functional_oracle,
     build_sigma,
@@ -309,21 +317,6 @@ def test_r_factor_loop_matches_uncompressed_on_corpus(entry, method):
     report = method(entry.system, entry.root)
     assert report.multiplicity == entry.multiplicity
     assert_matches_uncompressed(report, entry.system, entry.root, METHODS[method])
-
-
-@st.composite
-def monomial_ideals(draw):
-    """A zero-dimensional monomial ideal: a pure power of every variable,
-    plus up to two mixed monomials."""
-    n = draw(st.integers(1, 3))
-    powers = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
-    gens = [tuple(a if j == i else 0 for j in range(n)) for i, a in enumerate(powers)]
-    if n > 1:
-        mixed = st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(
-            lambda e: sum(x > 0 for x in e) >= 2
-        )
-        gens += draw(st.lists(mixed.map(tuple), max_size=2))
-    return tuple(gens), n, draw(st.integers(0, 2**16))
 
 
 @settings(max_examples=50, deadline=None)

@@ -227,6 +227,18 @@ def test_driver_fourth_rejection_ends_the_run(monkeypatch):
     assert len(result.per_stage_rank) == len(result.traces) == 1
 
 
+def test_driver_falls_back_to_first_order_on_inconclusive_prediction():
+    # after the order-2 stage the predicted support is empty: no usable order
+    entry = next(e for e in CORPUS if e.name == "stair-x3-y3")
+    start = entry.root + 1e-6 * (1 + 1j) / np.sqrt(2)
+    with pytest.warns(RuntimeWarning, match="falling back to first-order"):
+        result = deflation_driver(
+            entry.system, start, DriverConfig(seed=0, max_stages=2)
+        )
+    assert [s.order for s in result.stages] == [2, 1]
+    assert result.stages[1].kind == "first-order-B"
+
+
 def test_driver_determinism():
     start = np.array([1e-6, -2e-6])
     runs = [
