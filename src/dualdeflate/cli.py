@@ -50,6 +50,16 @@ def _common_flags(p: argparse.ArgumentParser, point: bool = True):
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 
+def _order(text: str):
+    """The --order value: auto, first, or an integer."""
+    if text in ("auto", "first"):
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid --order value {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="dualdeflate",
@@ -68,18 +78,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-coeff", type=float, default=1e-4)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("deflate", help="one deflation step")
-    _common_flags(p)
-    p.add_argument("--order", default="auto", help="auto, first, or an integer")
-    p.add_argument("--tol-coeff", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("solve", help="deflate until regular, then refine")
-    _common_flags(p)
-    p.add_argument("--order", default="auto", help="auto, first, or an integer")
-    p.add_argument("--tol-coeff", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-stages", type=int, default=10)
+    deflate = sub.add_parser("deflate", help="one deflation step")
+    solve = sub.add_parser("solve", help="deflate until regular, then refine")
+    for p in (deflate, solve):
+        _common_flags(p)
+        p.add_argument(
+            "--order", type=_order, default="auto", help="auto, first, or an integer"
+        )
+        p.add_argument("--tol-coeff", type=float, default=1e-4)
+        p.add_argument("--seed", type=int, default=0)
+    solve.add_argument("--max-stages", type=int, default=10)
 
     p = sub.add_parser("matrix", help="symbolic derivative-matrix dump")
     _common_flags(p, point=False)
@@ -91,15 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     return ap
-
-
-def _parse_order(text: str):
-    if text in ("auto", "first"):
-        return text
-    try:
-        return int(text)
-    except ValueError:
-        raise SystemExit(f"invalid --order value {text!r}")
 
 
 def _emit(report: dict, fmt: str, timings: dict):
@@ -170,13 +169,12 @@ def _run_deflate(args, report):
     x0 = parse_point(_read(args.point), F)
     _check_unit_interval(tol_coeff=args.tol_coeff)
     rng = np.random.default_rng(args.seed)
-    policy = _parse_order(args.order)
-    if policy == "first":
+    if args.order == "first":
         d = 1
-    elif policy == "auto":
+    elif args.order == "auto":
         d = predict_order(F, x0, args.tol_rank, args.tol_coeff, rng).d
     else:
-        d = policy
+        d = args.order
     aug = deflate_higher_order(F, d, x0, args.tol_rank, rng)
     report.update(_augmented_report(aug, 1))
     return EXIT_OK
@@ -186,7 +184,7 @@ def _run_solve(args, report):
     F = parse_system(_read(args.system))
     x0 = parse_point(_read(args.point), F)
     config = DriverConfig(
-        order_policy=_parse_order(args.order),
+        order_policy=args.order,
         tol_rank=args.tol_rank,
         tol_coeff=args.tol_coeff,
         max_stages=args.max_stages,

@@ -1,7 +1,7 @@
 """Dense complex linear algebra with explicit rank tolerances.
 
-All rank decisions are relative to the largest singular value, with an
-absolute floor so near-zero matrices do not acquire spurious rank.
+Every rank decision is one SVD and one cut (see ``_factor``): rank, kernel
+and pruned rows read the same singular values, so they agree on a matrix.
 """
 
 from __future__ import annotations
@@ -38,31 +38,34 @@ def _check_finite(M: np.ndarray) -> np.ndarray:
     return M
 
 
-def _rank_from_spectrum(s: np.ndarray, tol: float, scale: float) -> int:
-    if s.size == 0 or s[0] < ABSOLUTE_FLOOR:
-        return 0
-    return int(np.sum(s > tol * max(s[0], scale)))
+def _factor(M: np.ndarray, tol: float, scale: float):
+    """Singular values s, the n-by-n right factor V^H, and the rank of M.
+
+    The rank is 0 when sigma_1 is below ``ABSOLUTE_FLOOR`` (near-zero
+    matrices get no spurious rank), otherwise the count of singular values
+    above tol * max(sigma_1, scale). An empty matrix has no singular values,
+    rank 0 and V^H = I.
+    """
+    M = _check_finite(M)
+    if M.size == 0:
+        return np.zeros(0), np.eye(M.shape[1] if M.ndim == 2 else 0, dtype=complex), 0
+    _, s, vh = np.linalg.svd(M)
+    rank = 0 if s[0] < ABSOLUTE_FLOOR else int(np.sum(s > tol * max(s[0], scale)))
+    return s, vh, rank
 
 
 def numerical_rank(
     M: np.ndarray, tol: float = DEFAULT_RANK_TOL, scale: float = 0.0
 ) -> RankReport:
-    """Rank = number of singular values above tol * sigma_1.
+    """Rank = number of singular values above tol * max(sigma_1, scale).
 
-    A matrix whose largest singular value is below ``ABSOLUTE_FLOOR`` has
-    rank 0. ``scale`` supplies an external reference magnitude (e.g. the
-    coefficient size of the polynomial matrix being evaluated): singular
-    values are then compared against tol * max(sigma_1, scale), so a matrix
-    that is uniformly tiny relative to its natural scale is rank-deficient
-    rather than spuriously full-rank.
+    ``scale`` supplies an external reference magnitude (e.g. the coefficient
+    size of the polynomial matrix being evaluated), so a matrix that is
+    uniformly tiny relative to its natural scale is rank-deficient rather
+    than spuriously full-rank.
     """
-    M = _check_finite(M)
-    if M.size == 0:
-        s = np.zeros(0)
-        return RankReport(0, s, tol, M.shape[1] if M.ndim == 2 else 0)
-    s = np.linalg.svd(M, compute_uv=False)
-    rank = _rank_from_spectrum(s, tol, scale)
-    return RankReport(rank, s, tol, M.shape[1] - rank)
+    s, vh, rank = _factor(M, tol, scale)
+    return RankReport(rank, s, tol, len(vh) - rank)
 
 
 def kernel_basis(
@@ -73,12 +76,7 @@ def kernel_basis(
     Deterministic: right singular vectors for the trailing singular values.
     ``scale`` has the same meaning as in :func:`numerical_rank`.
     """
-    M = _check_finite(M)
-    if M.size == 0:
-        n = M.shape[1] if M.ndim == 2 else 0
-        return np.eye(n, dtype=complex)
-    _, s, vh = np.linalg.svd(M)
-    rank = _rank_from_spectrum(s, tol, scale)
+    _, vh, rank = _factor(M, tol, scale)
     return vh[rank:].conj().T
 
 
@@ -94,13 +92,8 @@ def least_squares(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 def prune_rows(M: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Replace M by a rank(M)-row matrix with the same numerical kernel.
 
-    Uses the SVD: rows sigma_i * v_i^H for the singular values above
-    tolerance span the row space, so the kernel is preserved.
+    Rows sigma_i * v_i^H for the singular values above tolerance span the
+    row space, so the kernel is preserved.
     """
-    M = _check_finite(M)
-    if M.size == 0:
-        return M.reshape(0, M.shape[1] if M.ndim == 2 else 0)
-    _, s, vh = np.linalg.svd(M)
-    rank = _rank_from_spectrum(s, tol, 0.0)
-    return (s[:rank, None] * vh[:rank]).astype(complex)
-
+    s, vh, rank = _factor(M, tol, 0.0)
+    return s[:rank, None] * vh[:rank]

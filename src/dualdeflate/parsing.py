@@ -211,6 +211,10 @@ def parse_system(text: str) -> PolySystem:
             raise ParseError(
                 "statement has a coefficient out of range", start.line, start.col
             )
+        if any(a >= 2**63 for alpha, _ in p.items() for a in alpha):
+            raise ParseError(
+                "statement has an exponent of 2^63 or more", start.line, start.col
+            )
         polys.append(p)
     if not polys:
         tok = parser.peek()

@@ -25,14 +25,6 @@ def total_degree(alpha: Exponent) -> int:
     return sum(alpha)
 
 
-def exponent_sub(alpha: Exponent, beta: Exponent) -> Exponent | None:
-    """alpha - beta componentwise, or None if any component goes negative."""
-    diff = tuple(a - b for a, b in zip(alpha, beta))
-    if any(d < 0 for d in diff):
-        return None
-    return diff
-
-
 @dataclass(frozen=True)
 class MonomialOrder:
     """A global monomial order: graded lex, or weighted with grlex tie-break."""
@@ -229,17 +221,19 @@ class Polynomial:
             raise DimensionMismatchError(
                 f"derivative index has length {len(beta)}, expected {self.nvars}"
             )
+        support = [(i, b) for i, b in enumerate(beta) if b]
         out: dict[Exponent, complex] = {}
         for alpha, c in self._terms.items():
-            rem = exponent_sub(alpha, beta)
-            if rem is None:
+            if any(alpha[i] < b for i, b in support):
                 continue
             # Leibniz on a monomial: factor alpha!/(alpha-beta)!
-            fac = 1
-            for a, b in zip(alpha, beta):
-                for k in range(a - b + 1, a + 1):
+            rem, fac = list(alpha), 1
+            for i, b in support:
+                rem[i] -= b
+                for k in range(rem[i] + 1, alpha[i] + 1):
                     fac *= k
-            out[rem] = out.get(rem, 0) + c * fac
+            key = tuple(rem)
+            out[key] = out.get(key, 0) + c * fac
         return Polynomial._trusted(self.nvars, out)
 
     def monomial_multiply(self, alpha: Exponent) -> "Polynomial":

@@ -54,7 +54,6 @@ from dualdeflate.poly import (
     Polynomial,
     PolySystem,
     _as_vector,
-    exponent_sub,
     total_degree,
 )
 
@@ -197,20 +196,26 @@ def line_restriction(
 
 
 def line_support(
-    F: PolySystem, x0: Sequence[complex], gamma: Sequence[complex], tol_coeff: float
+    F: PolySystem,
+    x0: Sequence[complex],
+    gamma: Sequence[complex],
+    tol_coeff: float,
+    slack: float = 0.0,
 ) -> set[int]:
     """Degrees k >= 1 of the expanded restriction that order prediction keeps.
 
     A coefficient counts when it exceeds tol_coeff times the larger of the
     restriction's and the polynomial's largest coefficient magnitude; an
-    equation that vanishes on the line contributes nothing.
+    equation that vanishes on the line contributes nothing. A nonzero
+    ``slack`` moves that cut by slack times the same magnitude.
     """
     degrees: set[int] = set()
     for p, eq in zip(F.polys, line_restriction(F, x0, gamma)):
         if not eq:
             continue
         scale = max(max(abs(cv) for cv in eq.values()), p.max_coeff_magnitude())
-        degrees.update(k for k, cv in eq.items() if k and abs(cv) > tol_coeff * scale)
+        cut = (tol_coeff + slack) * scale
+        degrees.update(k for k, cv in eq.items() if k and abs(cv) > cut)
     return degrees
 
 
@@ -220,6 +225,7 @@ def predicted_support(
     tol_rank: float,
     tol_coeff: float,
     rng: np.random.Generator,
+    slack: float = 0.0,
 ) -> set[int]:
     """``line_support`` along the kernel direction that order prediction draws."""
     x0 = _as_vector(x0, F.nvars)
@@ -227,7 +233,7 @@ def predicted_support(
     if K.shape[1] == 0:
         raise AlreadyRegularError("Jacobian has full rank; nothing to predict")
     gamma = K @ unit_modulus(rng, K.shape[1])
-    return line_support(F, x0, gamma / np.linalg.norm(gamma), tol_coeff)
+    return line_support(F, x0, gamma / np.linalg.norm(gamma), tol_coeff, slack)
 
 
 def subspace_distance(A: np.ndarray, B: np.ndarray) -> float:
@@ -292,6 +298,12 @@ def corank_drop_order(
             "system vanishes on the kernel subspace to working accuracy"
         )
     return min(degrees) - 1
+
+
+def exponent_sub(alpha: Sequence[int], beta: Sequence[int]) -> tuple | None:
+    """alpha - beta componentwise, or None if any component goes negative."""
+    diff = tuple(a - b for a, b in zip(alpha, beta))
+    return None if any(d < 0 for d in diff) else diff
 
 
 def mdz_by_lookup(shifted, n: int, d: int) -> np.ndarray:

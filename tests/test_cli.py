@@ -103,6 +103,16 @@ def test_deflate_rejects_order_below_one(files, capsys, order):
     assert "order must be >= 1" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("command", ["deflate", "solve"])
+def test_unparsable_order_is_a_usage_error(files, capsys, command):
+    # argparse rejects a malformed option value with exit 2, as for --max-stages abc
+    argv = [command, files("s.txt", SEC61_TEXT), files("p.txt", ORIGIN2)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--order", "abc"])
+    assert exc.value.code == 2
+    assert "invalid --order value 'abc'" in capsys.readouterr().err
+
 def test_solve_success(files, capsys):
     point = "x1 = 1e-6\nx2 = -2e-6\n"
     code, report = run_json(
@@ -265,6 +275,13 @@ def test_non_finite_coefficient_exit_code(files, capsys):
     assert code == EXIT_PARSE
     assert "line 2" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("command", ["multiplicity", "solve"])
+def test_exponent_beyond_int64_exit_code(files, capsys, command):
+    system = files("s.txt", "vars: x\nx^99999999999999999999;\n")
+    assert main([command, system, files("p.txt", "x = 0\n")]) == EXIT_PARSE
+    assert "error:" in capsys.readouterr().err
 
 def test_missing_file_exit_code(tmp_path, capsys):
     code = main(

@@ -6,7 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualdeflate import (
@@ -191,21 +191,31 @@ OFFSET = 1e-6 * (1 + 1j) / np.sqrt(2)
 
 def assert_support_is_exact(F, x0, tol_rank, tol_coeff, seed):
     """predict_order keeps the support of the exact restriction along the same
-    direction, or both stop with the same error."""
+    direction, or both stop with the same error.
+
+    The FFT's coefficients carry rounding of about (D+1)^2 eps times the
+    cut's reference magnitude, D being F's largest total degree. A degree
+    whose exact coefficient lies that close to the cut may go either way;
+    every other degree must agree.
+    """
     args = (F, x0, tol_rank, tol_coeff)
+    D = max(sum(a) for p in F.polys for a, _ in p.items())
+    slack = (D + 1) ** 2 * np.finfo(float).eps
     try:
-        want = predicted_support(*args, np.random.default_rng(seed))
+        sure = predicted_support(*args, np.random.default_rng(seed), slack)
     except AlreadyRegularError:
         with pytest.raises(AlreadyRegularError):
             predict_order(*args, np.random.default_rng(seed))
         return
-    if want and min(want) >= 2:
-        assert predict_order(*args, np.random.default_rng(seed)).support_degrees == want
-    else:
-        with pytest.raises(
-            InconclusivePredictionError, match=re.escape(f"support {sorted(want)} ")
-        ):
-            predict_order(*args, np.random.default_rng(seed))
+    maybe = predicted_support(*args, np.random.default_rng(seed), -slack)
+    try:
+        got = predict_order(*args, np.random.default_rng(seed)).support_degrees
+        assert min(got) >= 2
+    except InconclusivePredictionError as exc:
+        listed = re.search(r"support \[([0-9, ]*)\] ", str(exc)).group(1)
+        got = {int(k) for k in listed.split(",") if k}
+        assert not got or min(got) < 2
+    assert sure <= got <= maybe, (sorted(sure), sorted(got), sorted(maybe))
 
 
 @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
@@ -219,6 +229,9 @@ def test_predicted_support_matches_exact_restriction(entry):
 
 @settings(max_examples=40, deadline=None)
 @given(monomial_ideals(), st.integers(0, 4), st.sampled_from([1e-4, 1e-8, 1e-12]))
+# x^3 from root + 1e-6(1+i)/sqrt(2): |H_1| = 3e-12 sits on the cut 1e-12 * 3
+@example(ideal=(((3,),), 1, 0), seed=0, tol_coeff=1e-12)
+@example(ideal=(((3,),), 1, 0), seed=1, tol_coeff=1e-12)
 def test_predicted_support_matches_exact_restriction_on_monomial_ideals(
     ideal, seed, tol_coeff
 ):

@@ -71,6 +71,27 @@ def test_prune_rows_preserves_kernel():
         assert np.linalg.norm(P @ K) < 1e-10 * max(1.0, np.linalg.norm(P))
 
 
+def test_rank_and_kernel_agree_at_straddling_cuts():
+    # LAPACK's values-only SVD and the full one may differ in the last bits.
+    # A cut placed between their k-th singular values must still give one
+    # corank: rank and kernel read the same factorization.
+    rng = np.random.default_rng(5)
+    cuts = 0
+    for _ in range(200):
+        m, n = (int(k) for k in rng.integers(2, 9, size=2))
+        M = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        values_only = np.linalg.svd(M, compute_uv=False)
+        full = np.linalg.svd(M)[1]
+        # a power of two above both sigma_1: tol * scale is then exactly the cut
+        scale = 2.0 ** np.ceil(np.log2(max(values_only[0], full[0])) + 1)
+        for k in np.flatnonzero(values_only != full):
+            tol = min(values_only[k], full[k]) / scale
+            cuts += 1
+            assert numerical_rank(M, tol, scale).corank == kernel_basis(M, tol, scale).shape[1]
+    if not cuts:
+        pytest.skip("the two LAPACK paths agree on every matrix tried")
+
+
 def test_rank_scale_invariance():
     rng = np.random.default_rng(3)
     M = engineered_matrix(rng, 6, 5, 3)

@@ -84,6 +84,26 @@ def test_non_finite_coefficients_rejected(text, line):
     assert exc.value.line == line
 
 
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("vars: x\nx^99999999999999999999;", 2),
+        ("vars: x\nx;\nx^9223372036854775808 + 1;", 3),
+        ("vars: x y\nx;\n\ny*x^4611686018427387904*x^4611686018427387904;", 4),
+    ],
+)
+def test_exponents_beyond_int64_rejected(text, line):
+    # evaluation stores exponents as int64, so a larger one is a parse error
+    with pytest.raises(ParseError, match="exponent of 2\\^63 or more") as exc:
+        parse_system(text)
+    assert exc.value.line == line
+
+
+def test_largest_int64_exponent_accepted():
+    F = parse_system("vars: x\nx^4611686018427387904*x^4611686018427387903;")
+    assert F.polys[0].terms == {(2**63 - 1,): 1}
+
 def test_parse_error_carries_location():
     with pytest.raises(ParseError) as exc:
         parse_system("vars: x\nx;\nx + $;")

@@ -12,7 +12,7 @@ from dualdeflate import (
     PolySystem,
 )
 from dualdeflate.errors import DimensionMismatchError
-from dualdeflate.poly import exponent_sub, total_degree
+from dualdeflate.poly import total_degree
 
 from oracles import (
     apply_functional_oracle,
@@ -261,8 +261,6 @@ def test_weighted_order():
 
 def test_helpers():
     assert total_degree((2, 0, 3)) == 5
-    assert exponent_sub((2, 2), (1, 0)) == (1, 2)
-    assert exponent_sub((1, 0), (0, 1)) is None
 
 
 def test_system_shape_checks():
