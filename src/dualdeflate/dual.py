@@ -160,7 +160,7 @@ class _CoefficientRows:
         """Row j: generator j's coefficients over frame(d), dropping terms
         above degree d, then the zero entry that index -1 picks."""
         size = MonomialFrame.build(self.n, d).size
-        V = np.zeros((self.count, size + 1), dtype=complex)
+        V = np.zeros((self.count, size + 1), dtype=self.values.dtype)
         keep = self.index < size
         V[self.eq[keep], self.index[keep]] = self.values[keep]
         return V
@@ -203,13 +203,16 @@ def _dual_space(F, x0, tol, max_d, order, conditions):
     orthonormal kernel of degree d - 1 over frame(d - 1) without D_0. A tall
     matrix is handed over as the R factor of its QR decomposition: R = Q^H M
     has the same singular values, right singular vectors and row space, and
-    the SVD of R builds no square U factor of the tall M.
+    the SVD of R builds no square U factor of the tall M. Real generators at
+    a real root keep every matrix real; the coefficients come back complex.
     """
     _check_unit_interval(tol=tol)
     if max_d < 1:
         raise ValueError("max_d must be >= 1")
     rows = _CoefficientRows(F, x0, tol, max_d)
-    dims, K = [1], np.zeros((0, 0), dtype=complex)
+    if not rows.values.imag.any():  # -0.0 counts as zero
+        rows.values = rows.values.real
+    dims, K = [1], np.zeros((0, 0), dtype=rows.values.dtype)
     for d in range(1, max_d + 1):
         M, Q = conditions(rows, d, K)
         if M.shape[0] > M.shape[1]:
@@ -233,7 +236,7 @@ def _dual_space(F, x0, tol, max_d, order, conditions):
             "the root may be non-isolated",
             per_degree_dims=dims,
         )
-    C = _with_d0(K)
+    C = _with_d0(K).astype(complex, copy=False)
     C.flags.writeable = False
     exponents = MonomialFrame.build(F.nvars, d).exponents
     init = frozenset(initial_support_of_elements(C, exponents, order, tol))
@@ -242,7 +245,7 @@ def _dual_space(F, x0, tol, max_d, order, conditions):
 
 def _with_d0(K: np.ndarray) -> np.ndarray:
     """span(D_0, K) over a frame, for K over the frame without D_0."""
-    C = np.zeros((K.shape[0] + 1, K.shape[1] + 1), dtype=complex)
+    C = np.zeros((K.shape[0] + 1, K.shape[1] + 1), dtype=K.dtype)
     C[0, 0], C[1:, 1:] = 1, K
     return C
 
@@ -277,7 +280,7 @@ def _st_conditions(rows: _CoefficientRows, d: int, K: np.ndarray):
     U, Z = _integral_index(n, d)
     Kx = _with_d0(K)
     widths = [min(len(z), Kx.shape[1]) for z in Z]
-    Q, c = np.zeros((size, sum(widths)), dtype=complex), 0
+    Q, c = np.zeros((size, sum(widths)), dtype=K.dtype), 0
     for j, (z, w) in enumerate(zip(Z, widths)):
         if j == 0:
             B = Kx

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra with explicit rank tolerances.
+"""Dense real or complex linear algebra with explicit rank tolerances.
 
 Every rank decision is one SVD and one cut (see ``_factor``): rank, kernel
 and pruned rows read the same singular values, so they agree on a matrix.
@@ -30,7 +30,9 @@ def _check_unit_interval(**tolerances: float) -> None:
 
 
 def _check_finite(M: np.ndarray) -> np.ndarray:
-    M = np.asarray(M, dtype=complex)
+    """M as a float64 matrix if its entries are real, else complex128."""
+    M = np.asarray(M)
+    M = M.astype(float if M.dtype.kind in "biuf" else complex, copy=False)
     if M.ndim == 1:
         M = M.reshape(1, -1) if M.size else M.reshape(0, 0)
     if not np.all(np.isfinite(M)):
@@ -48,7 +50,7 @@ def _factor(M: np.ndarray, tol: float, scale: float):
     """
     M = _check_finite(M)
     if M.size == 0:
-        return np.zeros(0), np.eye(M.shape[1] if M.ndim == 2 else 0, dtype=complex), 0
+        return np.zeros(0), np.eye(M.shape[1] if M.ndim == 2 else 0, dtype=M.dtype), 0
     _, s, vh = np.linalg.svd(M)
     rank = 0 if s[0] < ABSOLUTE_FLOOR else int(np.sum(s > tol * max(s[0], scale)))
     return s, vh, rank

@@ -221,6 +221,8 @@ class Polynomial:
             raise DimensionMismatchError(
                 f"derivative index has length {len(beta)}, expected {self.nvars}"
             )
+        if min(beta, default=0) < 0:
+            raise ValueError(f"negative entry in derivative index {beta}")
         support = [(i, b) for i, b in enumerate(beta) if b]
         out: dict[Exponent, complex] = {}
         for alpha, c in self._terms.items():

@@ -343,7 +343,7 @@ def build_sigma(j: int, d: int, nvars: int) -> np.ndarray:
     # T's row for alpha = e_j, which grlex puts at frame index nvars - j + 1
     rows = _mdz_index(nvars, d)[nvars - j + 1] - 1
     (cols,) = np.nonzero(rows >= 0)
-    S = np.zeros((comb(nvars + d - 1, nvars) - 1, len(rows)), dtype=complex)
+    S = np.zeros((comb(nvars + d - 1, nvars) - 1, len(rows)), dtype=float)
     S[rows[cols], cols] = 1
     return S
 
@@ -364,8 +364,12 @@ def dual_space_uncompressed(F, x0, method: str, tol: float = 1e-8, max_d: int = 
     whose columns are the coefficients of the basis elements other than D_0
     over the nonzero exponents of frame(degree). ST takes its columns over
     the whole frame and prunes the whole matrix of the previous degree.
+    Like the package's loop, it runs in real arithmetic when every shifted
+    coefficient is real, so the two differ only in how each matrix is taken.
     """
     rows = _CoefficientRows(F, x0, tol, max_d)
+    if not rows.values.imag.any():
+        rows.values = rows.values.real
     dims, M = [1], None
     for d in range(1, max_d + 1):
         if method == "DZ":

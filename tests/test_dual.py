@@ -106,6 +106,7 @@ def assert_mdz_matches_lookup(F, x0, d, tol=1e-8):
     M = build_mdz(F, x0, d, tol)
     ref = mdz_by_lookup([p.shift(x0) for p in F.polys], F.nvars, d)
     assert M.shape == ref.shape
+    assert M.dtype == ref.dtype == complex  # also for a real system
     assert M.flags.c_contiguous
     assert np.array_equal(M.view(np.uint64), ref.view(np.uint64))
 
@@ -330,8 +331,9 @@ def test_r_factor_loop_matches_uncompressed_on_monomial_ideals(ideal):
         assert_matches_uncompressed(report, entry.system, entry.root, name)
 
 
-def record_shapes(monkeypatch, names=("kernel_basis",)):
-    """(name, shape) of every matrix handed to the named linalg functions in dual."""
+def record_shapes(monkeypatch, names=("kernel_basis",), key=np.shape):
+    """(name, key(M)) of every matrix M handed to the named linalg functions
+    in dual; by default, its shape."""
     import dualdeflate.dual as dual
 
     shapes = []
@@ -340,7 +342,7 @@ def record_shapes(monkeypatch, names=("kernel_basis",)):
         real = getattr(dual, name)
 
         def record(M, *args):
-            shapes.append((name, M.shape))
+            shapes.append((name, key(M)))
             return real(M, *args)
 
         return record
@@ -408,6 +410,46 @@ def test_st_on_candidates_matches_frame_wide_reference(entry, monkeypatch):
     )
     assert report.multiplicity == entry.multiplicity
     assert_matches_uncompressed(report, entry.system, entry.root, "ST")
+
+
+# -- a real system at a real root is solved in real arithmetic -------------
+
+def times_1j(F: PolySystem) -> PolySystem:
+    """F with its first generator times 1j: the same ideal, so the same dual
+    space, but with shifted coefficients that are not all real."""
+    return PolySystem(F.nvars, (F.polys[0] * 1j, *F.polys[1:]), F.var_names)
+
+
+def assert_one_dual_space(method, F, x0):
+    real, scaled = method(F, x0), method(times_1j(F), x0)
+    assert real.per_degree_dims == scaled.per_degree_dims
+    assert real.multiplicity == scaled.multiplicity
+    assert real.initial_support == scaled.initial_support
+    assert subspace_distance(real.coefficients, scaled.coefficients) <= 1e-10
+    for C in (real.coefficients, scaled.coefficients):
+        assert C.dtype == complex and not C.flags.writeable
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
+def test_real_and_complex_paths_give_one_dual_space(entry, method, monkeypatch):
+    dtypes = record_shapes(monkeypatch, key=lambda M: M.dtype)
+    assert_one_dual_space(method, entry.system, entry.root)
+    # both calls take one SVD per degree, the real one first
+    half = len(dtypes) // 2
+    assert [t for _, t in dtypes] == [np.float64] * half + [np.complex128] * half
+
+
+# Fixed draws, as under CI: on a random draw near the rank cut the spans can
+# differ by up to 1e-8, and the complex path alone moves as much when a
+# generator is multiplied by 1j.
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(monomial_ideals())
+def test_real_and_complex_paths_give_one_dual_space_on_monomial_ideals(ideal):
+    gens, n, seed = ideal
+    entry = monomial_ideal_entry("random", gens, n, seed)
+    for method in METHODS:
+        assert_one_dual_space(method, entry.system, entry.root)
 
 
 def test_per_degree_dims_monotone_and_stable():

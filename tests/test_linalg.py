@@ -117,6 +117,51 @@ def test_zero_and_empty_matrices():
     assert kernel_basis(E).shape == (5, 5)
 
 
+def test_real_input_stays_real():
+    # a real matrix takes LAPACK's real routines and decides as its complex cast
+    rng = np.random.default_rng(8)
+    for trial in range(50):
+        m, n = (int(k) for k in rng.integers(1, 9, size=2))
+        r = int(rng.integers(0, min(m, n) + 1))
+        M = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+        report, K, P = numerical_rank(M), kernel_basis(M), prune_rows(M)
+        assert report.singular_values.dtype == K.dtype == P.dtype == np.float64
+        assert report.rank == r == numerical_rank(M.astype(complex)).rank
+        assert K.shape == (n, n - r)
+        if K.size:
+            assert subspace_distance(K, kernel_basis(M.astype(complex))) <= 1e-12
+    for M in ([[1, 2], [2, 4]], np.array([[True, False], [True, False]])):
+        assert kernel_basis(M).dtype == np.float64
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_input_reaches_the_svd_unchanged(dtype):
+    rng = np.random.default_rng(9)
+    if dtype is complex:
+        M = engineered_matrix(rng, 7, 5, 3)
+    else:
+        M = rng.standard_normal((7, 3)) @ rng.standard_normal((3, 5))
+    _, s, vh = np.linalg.svd(M)
+    r = 3  # the rank both matrices are built with
+    assert numerical_rank(M).singular_values.tobytes() == s.tobytes()
+    assert kernel_basis(M).tobytes() == vh[r:].conj().T.tobytes()
+    assert prune_rows(M).tobytes() == (s[:r, None] * vh[:r]).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_non_finite_and_empty_input_of_each_dtype(dtype):
+    for bad in (np.nan, np.inf):
+        for f in (numerical_rank, kernel_basis, prune_rows):
+            with pytest.raises(ValueError):
+                f(np.array([[bad, 1.0]], dtype=dtype))
+    E = np.zeros((0, 5), dtype=dtype)
+    report = numerical_rank(E)
+    assert (report.rank, report.corank, report.singular_values.size) == (0, 5, 0)
+    K, P = kernel_basis(E), prune_rows(E)
+    assert K.dtype == P.dtype == dtype
+    assert np.array_equal(K, np.eye(5)) and P.shape == (0, 5)
+
+
 def test_non_finite_rejected():
     with pytest.raises(ValueError):
         numerical_rank(np.array([[np.nan, 1.0]]))

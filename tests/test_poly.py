@@ -153,6 +153,12 @@ def test_monomial_multiply_rejects_negative_entries():
         Polynomial(1, {(2,): 1}).monomial_multiply((-1,))
 
 
+def test_diff_rejects_negative_entries():
+    # an order -1 in x1 is no derivative, and not a multiplication by x1
+    with pytest.raises(ValueError, match="negative entry"):
+        Polynomial(2, {(1, 0): 1, (0, 1): 2}).diff((-1, 0))
+
+
 # -- composition and shifting ----------------------------------------------
 
 @settings(max_examples=40, deadline=None)
