@@ -126,9 +126,7 @@ def _print_text(report: dict, indent: int = 0):
             print(f"{pad}{key}: {value}")
 
 
-def _run_multiplicity(args, report):
-    F = parse_system(_read(args.system))
-    x0 = parse_point(_read(args.point), F)
+def _run_multiplicity(args, report, F, x0):
     fn = dual_space_dz if args.method == "dz" else dual_space_st
     result = fn(F, x0, tol=args.tol_rank, max_d=args.max_degree)
     report.update(
@@ -142,9 +140,7 @@ def _run_multiplicity(args, report):
     return EXIT_OK
 
 
-def _run_predict_order(args, report):
-    F = parse_system(_read(args.system))
-    x0 = parse_point(_read(args.point), F)
+def _run_predict_order(args, report, F, x0):
     rng = np.random.default_rng(args.seed)
     pred = predict_order(F, x0, args.tol_rank, args.tol_coeff, rng)
     report.update(order=pred.d, support_degrees=sorted(pred.support_degrees))
@@ -164,9 +160,7 @@ def _augmented_report(aug, stage: int):
     }
 
 
-def _run_deflate(args, report):
-    F = parse_system(_read(args.system))
-    x0 = parse_point(_read(args.point), F)
+def _run_deflate(args, report, F, x0):
     _check_unit_interval(tol_coeff=args.tol_coeff)
     rng = np.random.default_rng(args.seed)
     if args.order == "first":
@@ -180,9 +174,7 @@ def _run_deflate(args, report):
     return EXIT_OK
 
 
-def _run_solve(args, report):
-    F = parse_system(_read(args.system))
-    x0 = parse_point(_read(args.point), F)
+def _run_solve(args, report, F, x0):
     config = DriverConfig(
         order_policy=args.order,
         tol_rank=args.tol_rank,
@@ -210,8 +202,7 @@ def _run_solve(args, report):
     return EXIT_OK if result.final_regular else EXIT_NUMERICAL
 
 
-def _run_matrix(args, report):
-    F = parse_system(_read(args.system))
+def _run_matrix(args, report, F, x0):
     M = deflation_matrix(
         F,
         args.order,
@@ -248,7 +239,9 @@ def main(argv=None) -> int:
         report["seed"] = args.seed
     start = time.perf_counter()
     try:
-        code = _RUNNERS[args.command](args, report)
+        F = parse_system(_read(args.system))
+        x0 = parse_point(_read(args.point), F) if "point" in args else None
+        code = _RUNNERS[args.command](args, report, F, x0)
     except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

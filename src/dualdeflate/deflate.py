@@ -56,7 +56,7 @@ class SymbolicMatrix:
 
     @cached_property
     def _compiled(self) -> _CompiledRows:
-        return _CompiledRows([e for row in self.entries for e in row])
+        return _CompiledRows.of([e for row in self.entries for e in row])
 
     def evaluate(self, pt: Sequence[complex]) -> np.ndarray:
         v = _as_vector(pt, len(self.col_labels[0]))
@@ -238,8 +238,11 @@ def deflate_higher_order(
     if jac_report.corank == 0:
         raise AlreadyRegularError("Jacobian already has full rank at the point")
 
+    A = deflation_matrix(F, d)
+    rows = A.entries
     if d == 1:
-        rows = F.jacobian()
+        # the degree-1 frame lists e_n ... e_1, the Jacobian e_1 ... e_n
+        rows = [row[::-1] for row in rows]
         B = np.eye(n, dtype=complex)
         if jac_report.rank < n - 1:
             B = unit_modulus(rng, (n, jac_report.rank + 1))
@@ -251,8 +254,6 @@ def deflate_higher_order(
         # of zero entries, and the multiplier estimate is solved from it
         A0, m = J0 @ B, 1
     else:
-        A = deflation_matrix(F, d)
-        rows = A.entries
         A0 = A.evaluate(x0)
         m = numerical_rank(A0, tol_rank, scale=max([1.0, *A._compiled.scales])).corank
         if m == 0:

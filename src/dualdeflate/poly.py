@@ -126,11 +126,6 @@ class Polynomial:
     def items(self):
         return self._terms.items()
 
-    def max_coeff_magnitude(self) -> float:
-        if not self._terms:
-            return 0.0
-        return max(abs(c) for c in self._terms.values())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -203,16 +198,6 @@ class Polynomial:
         return out
 
     # -- calculus ----------------------------------------------------------
-
-    def diff_once(self, i: int) -> "Polynomial":
-        out: dict[Exponent, complex] = {}
-        for a, c in self._terms.items():
-            if a[i] == 0:
-                continue
-            b = list(a)
-            b[i] -= 1
-            out[tuple(b)] = out.get(tuple(b), 0) + c * a[i]
-        return Polynomial._trusted(self.nvars, out)
 
     def diff(self, beta: Exponent) -> "Polynomial":
         """Mixed partial derivative d^beta (unscaled)."""
@@ -359,16 +344,17 @@ class _CompiledRows:
     distinct monomial is a list of indices into a table of the distinct
     (variable, exponent) powers; monomials are sorted by factor count, most
     first, so those that have a j-th factor are a prefix.
+
+    ``of`` compiles polynomials; ``partials`` compiles the first partials
+    of the rows from their own terms, without building a polynomial.
     """
 
-    def __init__(self, rows: Sequence[Polynomial]):
+    def __init__(self, rows: list[list[tuple[Exponent, complex]]]):
+        """Compile rows of (exponent, coefficient) terms in grlex order."""
+        self.rows = rows
         self.nrows = len(rows)
-        self.scales = [p.max_coeff_magnitude() for p in rows]
-        terms = [
-            (r, alpha, c)
-            for r, p in enumerate(rows)
-            for alpha, c in sorted(p.items(), key=lambda t: GRLEX.key(t[0]))
-        ]
+        self.scales = [max((abs(c) for _, c in row), default=0.0) for row in rows]
+        terms = [(r, alpha, c) for r, row in enumerate(rows) for alpha, c in row]
         powers = sorted(
             {(i, a) for _, alpha, _ in terms for i, a in enumerate(alpha) if a}
         )
@@ -399,6 +385,25 @@ class _CompiledRows:
         # is (re, im) pairs, and its imaginary part to slot 2r + 1
         slots = 2 * np.array([r for r, _, _ in terms], dtype=np.intp)
         self._slots = np.stack([slots, slots + 1], axis=1).reshape(-1)
+
+    @classmethod
+    def of(cls, polys: Sequence[Polynomial]) -> "_CompiledRows":
+        return cls([sorted(p.items(), key=lambda t: GRLEX.key(t[0])) for p in polys])
+
+    def partials(self, nvars: int) -> "_CompiledRows":
+        """The first partials, d/dx_j of row r as row r * nvars + j.
+
+        A term c x^alpha with alpha_j > 0 gives alpha_j c x^(alpha - e_j);
+        taking e_j off keeps grlex order, so each new row comes out sorted.
+        """
+        rows = [[] for _ in range(self.nrows * nvars)]
+        for r, row in enumerate(self.rows):
+            for alpha, c in row:
+                for j, a in enumerate(alpha):
+                    if a:
+                        b = alpha[:j] + (a - 1,) + alpha[j + 1:]
+                        rows[r * nvars + j].append((b, c * a))
+        return _CompiledRows(rows)
 
     def evaluate(self, v: np.ndarray) -> np.ndarray:
         """Values of the rows at the complex vector v."""
@@ -446,23 +451,14 @@ class PolySystem:
 
     @cached_property
     def _compiled(self) -> "_CompiledRows":
-        return _CompiledRows(self.polys)
-
-    @cached_property
-    def _partials(self) -> tuple[tuple[Polynomial, ...], ...]:
-        return tuple(
-            tuple(p.diff_once(j) for j in range(self.nvars)) for p in self.polys
-        )
+        return _CompiledRows.of(self.polys)
 
     @cached_property
     def _compiled_jacobian(self) -> "_CompiledRows":
-        return _CompiledRows([d for row in self._partials for d in row])
+        return self._compiled.partials(self.nvars)
 
     def evaluate(self, pt: Sequence[complex]) -> np.ndarray:
         return self._compiled.evaluate(_as_vector(pt, self.nvars))
-
-    def jacobian(self) -> list[list[Polynomial]]:
-        return [list(row) for row in self._partials]
 
     def jacobian_at(self, pt: Sequence[complex]) -> np.ndarray:
         v = _as_vector(pt, self.nvars)

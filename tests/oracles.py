@@ -7,7 +7,9 @@ enumeration. Keeping these separate from the library is what makes the
 cross-checks meaningful. The exceptions are plain earlier forms of faster
 code in the package, kept as references for it: ``evaluate``, the
 term-by-term evaluation that the compiled ``PolySystem`` and
-``SymbolicMatrix`` evaluation must match bit for bit; ``compose``, the
+``SymbolicMatrix`` evaluation must match bit for bit, with ``diff_once``
+and ``max_coeff_magnitude``, the symbolic first partials and coefficient
+scales that the compiled Jacobian must match; ``compose``, the
 substitution through polynomial products that ``Polynomial.shift`` must
 match; ``line_restriction``, the binomial expansion of F along a line,
 whose support order prediction must find from values on the unit circle;
@@ -145,6 +147,22 @@ def evaluate(p: Polynomial, pt: Sequence[complex]) -> complex:
     return total
 
 
+def diff_once(p: Polynomial, i: int) -> Polynomial:
+    """d/dx_i of p, one term at a time in p's own term order."""
+    out: dict[tuple, complex] = {}
+    for a, c in p.items():
+        if a[i] == 0:
+            continue
+        b = list(a)
+        b[i] -= 1
+        out[tuple(b)] = out.get(tuple(b), 0) + c * a[i]
+    return Polynomial._trusted(p.nvars, out)
+
+
+def max_coeff_magnitude(p: Polynomial) -> float:
+    return max((abs(c) for _, c in p.items()), default=0.0)
+
+
 def compose(p: Polynomial, subs: Sequence[Polynomial]) -> Polynomial:
     """Substitute subs[i] for variable i; all subs share a variable count."""
     assert len(subs) == p.nvars
@@ -213,7 +231,7 @@ def line_support(
     for p, eq in zip(F.polys, line_restriction(F, x0, gamma)):
         if not eq:
             continue
-        scale = max(max(abs(cv) for cv in eq.values()), p.max_coeff_magnitude())
+        scale = max(max(abs(cv) for cv in eq.values()), max_coeff_magnitude(p))
         cut = (tol_coeff + slack) * scale
         degrees.update(k for k, cv in eq.items() if k and abs(cv) > cut)
     return degrees
@@ -286,7 +304,7 @@ def corank_drop_order(
     degrees: set[int] = set()
     for f in F.polys:
         q = compose(f, subs)
-        scale = q.max_coeff_magnitude()
+        scale = max_coeff_magnitude(q)
         if scale == 0:
             continue
         degrees.update(
@@ -462,8 +480,10 @@ def staircase_count(generators: Sequence[tuple], nvars: int) -> int:
 # -- the separate deflation constructions the one builder replaced ----------
 # Function bodies copied unchanged, apart from the ``old_`` names,
 # ``OldAugmentedSystem`` (which keeps the ``drawn`` field), the dropped
-# ``stage`` number and ``apply_operator`` standing in for the removed
-# ``DeflationOperator.apply``.
+# ``stage`` number, ``apply_operator`` standing in for the removed
+# ``DeflationOperator.apply``, and ``diff_once`` and ``max_coeff_magnitude``
+# standing in for the removed ``PolySystem.jacobian`` and
+# ``Polynomial.max_coeff_magnitude``.
 
 
 def apply_operator(Q, p: Polynomial) -> Polynomial:
@@ -537,7 +557,7 @@ def old_deflate_first_order(F, x0, tol_rank=1e-8, rng=None):
     if report.corank == 0:
         raise AlreadyRegularError("Jacobian already has full rank at the point")
     r = report.rank
-    jac = F.jacobian()
+    jac = [[diff_once(p, j) for j in range(n)] for p in F.polys]
     if r == n - 1:
         k = n
         B = None
@@ -602,7 +622,7 @@ def old_deflate_higher_order(F, d, x0, tol_rank=1e-8, rng=None):
     A = old_deflation_matrix(F, d)
     Aval = A.evaluate(x0)
     ascale = max(
-        (e.max_coeff_magnitude() for row in A.entries for e in row), default=1.0
+        (max_coeff_magnitude(e) for row in A.entries for e in row), default=1.0
     )
     m = numerical_rank(Aval, tol_rank, scale=max(ascale, 1.0)).corank
     if m == 0:

@@ -87,7 +87,7 @@ def test_order_one_matrix_is_the_jacobian():
     for entry in (EX2, SEC61):
         F = entry.system
         A = deflation_matrix(F, 1)
-        jac = F.jacobian()
+        jac = [[oracles.diff_once(p, j) for j in range(F.nvars)] for p in F.polys]
         assert sorted(A.col_labels) == sorted(
             tuple(int(i == k) for i in range(F.nvars)) for k in range(F.nvars)
         )
@@ -523,6 +523,6 @@ def test_operator_rows_match_term_by_term_application(entry):
         # the same rows, in the same order, up to rounding of the summation
         for p, q in zip(new.system.polys, old.system.polys):
             assert p.nvars == q.nvars == n
-            scale = q.max_coeff_magnitude()
+            scale = oracles.max_coeff_magnitude(q)
             for a in set(p.terms) | set(q.terms):
                 assert abs(p.terms.get(a, 0) - q.terms.get(a, 0)) <= 1e-12 * scale

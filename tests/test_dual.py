@@ -45,6 +45,7 @@ from oracles import (
     build_sigma,
     dual_space_uncompressed,
     initial_support_by_scan,
+    max_coeff_magnitude,
     mdz_by_lookup,
     monomial_multiply,
     subspace_distance,
@@ -269,11 +270,45 @@ def test_methods_agree_on_corpus(entry):
     assert subspace_distance(A, B) < 1e-8
 
 
+# Ideals whose DZ count is wrong: at seed 55 the dims grow by one a degree up
+# to max_d and DZ raises NonIsolatedSuspectError, at 33488 it counts 30 and
+# at 1589 it counts 25. ST counts all three right.
+DZ_MISCOUNTS = (
+    monomial_ideal_entry("cubes-3-seed-55", ((3, 0, 0), (0, 3, 0), (0, 0, 3)), 3, 55),
+    monomial_ideal_entry(
+        "cubes-3-seed-33488", ((3, 0, 0), (0, 3, 0), (0, 0, 3)), 3, 33488
+    ),
+    monomial_ideal_entry(
+        "mixed-4-seed-1589",
+        ((2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2), (0, 2, 2, 0),
+         (2, 0, 1, 0)),
+        4,
+        1589,
+    ),
+)
+
+
+@pytest.mark.parametrize("entry", DZ_MISCOUNTS, ids=lambda e: e.name)
+def test_st_counts_the_ideals_dz_miscounts(entry):
+    assert dual_space_st(entry.system, entry.root).multiplicity == entry.multiplicity
+
+
+# Not strict: at 1589 the singular values either side of the cut lie at
+# 1.05e-8 and 5.3e-9 times sigma_1, around the cut of 1e-8, so another
+# LAPACK build may place the cut on the other side.
+@pytest.mark.xfail(
+    strict=False, reason="DZ's rank cut at tol 1e-8 miscounts these ideals"
+)
+@pytest.mark.parametrize("entry", DZ_MISCOUNTS, ids=lambda e: e.name)
+def test_dz_counts_the_ideals_it_miscounts(entry):
+    assert dual_space_dz(entry.system, entry.root).multiplicity == entry.multiplicity
+
+
 @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
 def test_dual_basis_annihilates_multiples(entry):
     report = dual_space_dz(entry.system, entry.root)
     d = report.degree
-    scale = max(p.max_coeff_magnitude() for p in entry.system.polys)
+    scale = max(max_coeff_magnitude(p) for p in entry.system.polys)
     # cap the multiple degree for the very large case; the annihilation
     # property is degree-by-degree, so a truncation is still a real check
     alpha_bound = max(d - 1, 0) if entry.multiplicity <= 10 else 2
