@@ -1,10 +1,14 @@
 """Multiplicity structure at an isolated root via the local dual space.
 
-Two incremental constructions are provided: one builds the full matrix of
-monomial-multiple conditions per degree, the other reuses the previous
-degree through the closedness condition, solving only over the candidates
-that the previous degree's space allows. Both return the same space; the
-cross-check is part of the test suite.
+Both incremental constructions solve each degree d over the closedness
+candidates: every functional of the degree-d space is closed (its
+anti-derivatives lie in the degree-(d - 1) space), so it lies in the span
+of the integrals of that space, at most n dim D_(d-1) columns. They differ
+only in their conditions: :func:`dual_space_dz` takes the monomial
+multiples (x - x0)^alpha f_j with |alpha| < d, :func:`dual_space_st` the
+generators and the closedness conditions themselves. Both return the same
+space; the cross-check against the frame-wide loops is part of the test
+suite.
 
 All row monomials and functionals are taken in coordinates shifted so the
 basepoint is the origin, which turns every matrix entry into a coefficient
@@ -176,7 +180,7 @@ class _CoefficientRows:
 def build_mdz(
     F: PolySystem, x0: Sequence[complex], d: int, tol: float = DEFAULT_RANK_TOL
 ) -> np.ndarray:
-    """Matrix of closedness conditions at degree d.
+    """Matrix of monomial-multiple conditions at degree d.
 
     Rows are labelled (x - x0)^alpha f_j for |alpha| < d (alpha outer, in
     frame order, j inner); columns are the functionals D_beta for
@@ -198,9 +202,11 @@ def _scale_rows(M: np.ndarray) -> np.ndarray:
 def _dual_space(F, x0, tol, max_d, order, conditions):
     """The degree loop of both methods: stop when the kernel stops growing.
 
-    ``conditions(rows, d, K)`` gives the degree-d matrix and the orthonormal
-    candidates Q it is taken over, or None for the whole frame; ``K`` is the
-    orthonormal kernel of degree d - 1 over frame(d - 1) without D_0. A tall
+    Each degree is solved over the closedness candidates Q of
+    :func:`_closedness_candidates`, or over the frame when Q is None;
+    ``conditions(rows, d, K, Q)`` gives the degree-d matrix over them, where
+    ``K`` is the orthonormal kernel of degree d - 1 over frame(d - 1)
+    without D_0, and the kernel over the frame is Q times its own. A tall
     matrix is handed over as the R factor of its QR decomposition: R = Q^H M
     has the same singular values, right singular vectors and row space, and
     the SVD of R builds no square U factor of the tall M. Real generators at
@@ -214,7 +220,8 @@ def _dual_space(F, x0, tol, max_d, order, conditions):
         rows.values = rows.values.real
     dims, K = [1], np.zeros((0, 0), dtype=rows.values.dtype)
     for d in range(1, max_d + 1):
-        M, Q = conditions(rows, d, K)
+        Q = _closedness_candidates(rows.n, d, K)
+        M = conditions(rows, d, K, Q)
         if M.shape[0] > M.shape[1]:
             M = np.linalg.qr(M, mode="r")
         K = kernel_basis(M, tol)
@@ -250,33 +257,24 @@ def _with_d0(K: np.ndarray) -> np.ndarray:
     return C
 
 
-def _dz_conditions(rows: _CoefficientRows, d: int, K) -> tuple[np.ndarray, None]:
-    return _scale_rows(rows.mdz(d)), None
-
-
-def _st_conditions(rows: _CoefficientRows, d: int, K: np.ndarray):
-    """The closedness conditions at degree d, over the candidates they allow.
+def _closedness_candidates(n: int, d: int, K: np.ndarray) -> np.ndarray | None:
+    """Orthonormal candidates for the degree-d dual space, over frame(d)
+    without D_0, or None when every functional over the frame is closed.
 
     For L without a D_0 term, L = sum_j integral_j sigma_j L, where
     integral_j maps D_gamma to D_(gamma + e_j) if gamma is zero before
-    component j, and to zero otherwise. As sigma_j L lies in span(D_0, K),
-    the candidates for variable j are integral_j of an orthonormal basis of
-    span(D_0, K) restricted to the gammas zero before j: at most n dim
-    D_(d-1) columns in all, with disjoint supports, so orthonormal together.
-    A Householder QR gives each basis without a rank decision; its span may
-    exceed the restriction's, which only adds candidates. They are fewer
-    than the frame's B(d) - 1 exactly when K does not span frame(d - 1);
-    when it does, every L is closed and the generators alone are the
-    conditions, over the frame (Q is None).
-
-    Rows: the generators over frame(d), row-scaled, then (I - K K^H) sigma_j
-    for each j, unscaled: row-scaling the rows of a projector amplifies
-    roundoff in its near-zero rows.
+    component j, and to zero otherwise. As sigma_j L lies in span(D_0, K)
+    for every closed L, the candidates for variable j are integral_j of an
+    orthonormal basis of span(D_0, K) restricted to the gammas zero before
+    j: at most n dim D_(d-1) columns in all, with disjoint supports, so
+    orthonormal together. A Householder QR gives each basis without a rank
+    decision; its span may exceed the restriction's, which only adds
+    candidates. They are fewer than the frame's B(d) - 1 exactly when K does
+    not span frame(d - 1); when it does, the frame is returned as None.
     """
-    G = _scale_rows(rows.over_frame(d)[:, 1:-1])
     if K.shape[0] == K.shape[1]:
-        return G, None
-    n, size = rows.n, MonomialFrame.build(rows.n, d).size
+        return None
+    size = MonomialFrame.build(n, d).size
     U, Z = _integral_index(n, d)
     Kx = _with_d0(K)
     widths = [min(len(z), Kx.shape[1]) for z in Z]
@@ -290,11 +288,34 @@ def _st_conditions(rows: _CoefficientRows, d: int, K: np.ndarray):
             B = np.linalg.qr(Kx[z])[0]
         Q[U[j, z], c : c + w] = B
         c += w
+    return Q[1:]  # integral_j never reaches D_0
+
+
+def _dz_conditions(rows: _CoefficientRows, d: int, K, Q) -> np.ndarray:
+    """The monomial multiples (x - x0)^alpha f_j, |alpha| < d, row-scaled,
+    over the candidates Q. Rows with |alpha| + ord f_j > d are zero over
+    frame(d) and are left out."""
+    M = rows.mdz(d)
+    M = _scale_rows(M[M.any(axis=1)])
+    return M if Q is None else M @ Q
+
+
+def _st_conditions(rows: _CoefficientRows, d: int, K: np.ndarray, Q) -> np.ndarray:
+    """The generators and the closedness conditions, over the candidates Q.
+
+    Rows: the generators over frame(d), row-scaled, then (I - K K^H) sigma_j
+    for each j, unscaled: row-scaling the rows of a projector amplifies
+    roundoff in its near-zero rows. Over the whole frame (Q is None) every
+    L is closed and the generators alone are the conditions.
+    """
+    G = _scale_rows(rows.over_frame(d)[:, 1:-1])
+    if Q is None:
+        return G
+    U = _integral_index(rows.n, d)[0]
     Kh = K.conj().T
     # sigma_j Q without its D_0 row; sigma_1 Q = [0 K 0], which is closed
-    X = [Q[U[j, 1:]] for j in range(1, n)]
-    M = np.vstack([G @ Q[1:]] + [Y - K @ (Kh @ Y) for Y in X])
-    return M, Q[1:]
+    X = [Q[U[j, 1:] - 1] for j in range(1, rows.n)]
+    return np.vstack([G @ Q] + [Y - K @ (Kh @ Y) for Y in X])
 
 
 def dual_space_dz(
@@ -304,7 +325,8 @@ def dual_space_dz(
     max_d: int = DEFAULT_MAX_DEGREE,
     order: MonomialOrder = GRLEX,
 ) -> MultiplicityReport:
-    """Dual space by the incremental full-matrix construction."""
+    """Dual space from the monomial multiples of the generators, over the
+    closedness candidates of each degree."""
     return _dual_space(F, x0, tol, max_d, order, _dz_conditions)
 
 
@@ -315,7 +337,8 @@ def dual_space_st(
     max_d: int = DEFAULT_MAX_DEGREE,
     order: MonomialOrder = GRLEX,
 ) -> MultiplicityReport:
-    """Dual space via the closedness condition, over its candidates only."""
+    """Dual space from the generators and the closedness conditions, over
+    the closedness candidates of each degree."""
     return _dual_space(F, x0, tol, max_d, order, _st_conditions)
 
 
