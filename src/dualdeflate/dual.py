@@ -10,6 +10,12 @@ generators and the closedness conditions themselves. Both return the same
 space; the cross-check against the frame-wide loops is part of the test
 suite.
 
+The loop ends at the first degree d that adds nothing. When degree d - 1
+added fewer elements than degree d - 2, a closedness test on top-degree
+parts alone (:func:`_no_top_extension`) can show this without building
+degree d; the report's degree-d coefficient rows are then exact zeros. A
+"no" from the test is always safe: degree d is then computed as before.
+
 All row monomials and functionals are taken in coordinates shifted so the
 basepoint is the origin, which turns every matrix entry into a coefficient
 lookup in the shifted generators.
@@ -26,8 +32,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateBasisError, NonIsolatedSuspectError, NotARootError
-from .linalg import DEFAULT_RANK_TOL, _check_unit_interval, kernel_basis
+from .errors import DegenerateBasisError, DualDeflateError
+from .errors import NonIsolatedSuspectError, NotARootError
+from .linalg import DEFAULT_RANK_TOL, _check_unit_interval, _factor, kernel_basis
 from .linalg import prune_rows  # noqa: F401  (bench/tracer.py patches dual.prune_rows)
 from .poly import GRLEX, Exponent, MonomialOrder, PolySystem, _as_vector
 
@@ -78,7 +85,8 @@ class MultiplicityReport:
 
     Row i of the read-only ``coefficients`` holds the coefficients of D_a
     for the i-th exponent a of ``MonomialFrame.build(n, degree).exponents``,
-    in coordinates shifted to the root. Column 0 is D_0.
+    in coordinates shifted to the root. Column 0 is D_0. The rows of the
+    top degree are exact zeros when the top-degree test ended the loop.
     """
 
     coefficients: np.ndarray
@@ -102,7 +110,13 @@ def _frame_index(part: Callable[[int], np.ndarray], n: int, degree: int) -> np.n
     rank: the exponents of lower degree, plus, per variable, those of equal
     degree that agree before it and are smaller at it. One component at a
     time keeps memory to a few arrays of the components' broadcast shape.
+    Raises DualDeflateError when the binomial table would not fit in int64.
     """
+    if comb(degree + n, min(n, (degree + n) // 2)) > np.iinfo(np.int64).max:
+        raise DualDeflateError(
+            f"monomial frames of {n} variables up to degree {degree} "
+            "are too large to index in int64"
+        )
     C = np.array([[comb(t, m) for m in range(n + 1)] for t in range(degree + n + 1)])
     valid, rank, r = True, 0, 0
     for i in reversed(range(n)):
@@ -200,7 +214,9 @@ def _scale_rows(M: np.ndarray) -> np.ndarray:
 
 
 def _dual_space(F, x0, tol, max_d, order, conditions):
-    """The degree loop of both methods: stop when the kernel stops growing.
+    """The degree loop of both methods: stop at the first degree that adds
+    nothing, or before building degree d when :func:`_no_top_extension`
+    shows that it adds nothing; ``dims`` then repeats its last entry.
 
     Each degree is solved over the closedness candidates Q of
     :func:`_closedness_candidates`, or over the frame when Q is None;
@@ -220,6 +236,11 @@ def _dual_space(F, x0, tol, max_d, order, conditions):
         rows.values = rows.values.real
     dims, K = [1], np.zeros((0, 0), dtype=rows.values.dtype)
     for d in range(1, max_d + 1):
+        # degree d - 1 added h elements, fewer than degree d - 2 did
+        if d > 2 and (h := dims[-1] - dims[-2]) < dims[-2] - dims[-3]:
+            if _no_top_extension(rows.n, d, K, h, tol):
+                dims.append(dims[-1])
+                break
         Q = _closedness_candidates(rows.n, d, K)
         M = conditions(rows, d, K, Q)
         if M.shape[0] > M.shape[1]:
@@ -243,9 +264,10 @@ def _dual_space(F, x0, tol, max_d, order, conditions):
             "the root may be non-isolated",
             per_degree_dims=dims,
         )
-    C = _with_d0(K).astype(complex, copy=False)
-    C.flags.writeable = False
     exponents = MonomialFrame.build(F.nvars, d).exponents
+    C = np.zeros((len(exponents), K.shape[1] + 1), dtype=complex)
+    C[0, 0], C[1 : len(K) + 1, 1:] = 1, K  # K stops short of degree d if tested
+    C.flags.writeable = False
     init = frozenset(initial_support_of_elements(C, exponents, order, tol))
     return MultiplicityReport(C, tuple(dims), init)
 
@@ -261,34 +283,70 @@ def _closedness_candidates(n: int, d: int, K: np.ndarray) -> np.ndarray | None:
     """Orthonormal candidates for the degree-d dual space, over frame(d)
     without D_0, or None when every functional over the frame is closed.
 
-    For L without a D_0 term, L = sum_j integral_j sigma_j L, where
-    integral_j maps D_gamma to D_(gamma + e_j) if gamma is zero before
-    component j, and to zero otherwise. As sigma_j L lies in span(D_0, K)
-    for every closed L, the candidates for variable j are integral_j of an
-    orthonormal basis of span(D_0, K) restricted to the gammas zero before
-    j: at most n dim D_(d-1) columns in all, with disjoint supports, so
-    orthonormal together. A Householder QR gives each basis without a rank
-    decision; its span may exceed the restriction's, which only adds
-    candidates. They are fewer than the frame's B(d) - 1 exactly when K does
-    not span frame(d - 1); when it does, the frame is returned as None.
+    For L without a D_0 term, L = sum_j integral_j sigma_j L. As sigma_j L
+    lies in span(D_0, K) for every closed L, the candidates are the
+    :func:`_integrals` of span(D_0, K): at most n dim D_(d-1) columns. They
+    are fewer than the frame's B(d) - 1 exactly when K does not span
+    frame(d - 1); when it does, the frame is returned as None.
     """
     if K.shape[0] == K.shape[1]:
         return None
+    return _integrals(n, d, _with_d0(K), 0)[1:]  # integral_j never reaches D_0
+
+
+def _integrals(n: int, d: int, B: np.ndarray, first: int) -> np.ndarray:
+    """Columns over frame(d): for each j, integral_j of an orthonormal basis
+    of span(B) restricted to the gammas zero before component j, for B
+    orthonormal over the exponents of frame(d - 1) from index ``first`` on.
+
+    integral_j maps D_gamma to D_(gamma + e_j) if gamma is zero before
+    component j, and to zero otherwise. The images of different j have
+    disjoint supports, so the at most n B.shape[1] columns are orthonormal
+    together. A Householder QR gives each basis without a rank decision; its
+    span may exceed the restriction's, which only adds columns.
+    """
     size = MonomialFrame.build(n, d).size
     U, Z = _integral_index(n, d)
-    Kx = _with_d0(K)
-    widths = [min(len(z), Kx.shape[1]) for z in Z]
-    Q, c = np.zeros((size, sum(widths)), dtype=K.dtype), 0
+    Z = [z[z >= first] for z in Z]
+    widths = [min(len(z), B.shape[1]) for z in Z]
+    Q, c = np.zeros((size, sum(widths)), dtype=B.dtype), 0
     for j, (z, w) in enumerate(zip(Z, widths)):
         if j == 0:
-            B = Kx
+            P = B
         elif w == len(z):  # C^w itself spans the restriction
-            B = np.eye(w)
+            P = np.eye(w)
         else:
-            B = np.linalg.qr(Kx[z])[0]
-        Q[U[j, z], c : c + w] = B
+            P = np.linalg.qr(B[z - first])[0]
+        Q[U[j, z], c : c + w] = P
         c += w
-    return Q[1:]  # integral_j never reaches D_0
+    return Q
+
+
+def _no_top_extension(n: int, d: int, K: np.ndarray, h: int, tol: float) -> bool:
+    """True when no functional of degree d is closed over span(D_0, K), for
+    K as in :func:`_dual_space` and h its elements of degree d - 1.
+
+    Each sigma_k L_top of the degree-d part of a closed L lies in span(T),
+    T an orthonormal basis of K's degree-(d - 1) rows; so L_top lies in the
+    span of the integrals H of T and gives a kernel vector of the stacked
+    (I - T T^H) sigma_k H. Full column rank with sigma_min above
+    sqrt(tol) max(sigma_1, 1) rules L out; the gap keeps roundoff in T, near
+    tol, from passing. Spurious columns of H only enlarge the kernel, so the
+    test errs only toward False. It reads no generator row.
+    """
+    # S has rank at most (n - 1)(z[0] - h) but sum_j min(z[j], h) columns,
+    # z[j] the exponents of degree d - 1 that are zero before component j
+    z = [comb(d + n - 2 - j, d - 1) for j in range(n)]
+    if sum(min(k, h) for k in z) > (n - 1) * (z[0] - h):
+        return False
+    lo = MonomialFrame.build(n, d - 2).size  # degree d - 1 starts; K lacks D_0
+    T = _factor(K[lo - 1 :].conj().T, tol, 0.0)[1][:h].conj().T
+    H = _integrals(n, d, T, lo)
+    U = _integral_index(n, d)[0][:, lo:]
+    # sigma_k H over the degree-(d - 1) exponents; sigma_1 H = [T 0] passes
+    S = np.vstack([Y - T @ (T.conj().T @ Y) for Y in (H[U[k]] for k in range(1, n))])
+    # the eigenvalues of S^H S are the squared singular values of S
+    return _factor(S.conj().T @ S, tol, 1.0)[2] == S.shape[1]
 
 
 def _dz_conditions(rows: _CoefficientRows, d: int, K, Q) -> np.ndarray:

@@ -327,6 +327,16 @@ def test_out_of_memory_exit_code(files, capsys, monkeypatch):
     assert "error: out of memory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["dz", "st"])
+def test_frame_past_int64_exit_code(files, capsys, method):
+    # 66 linear equations: the frame index table would overflow int64
+    names = [f"x{i}" for i in range(66)]
+    system = files("s.txt", f"vars: {' '.join(names)}\n" + "".join(f"{v};\n" for v in names))
+    point = files("p.txt", "".join(f"{v} = 0\n" for v in names))
+    assert main(["multiplicity", system, point, "--method", method]) == EXIT_NUMERICAL
+    assert "too large to index" in capsys.readouterr().err
+
+
 def test_non_root_point_exit_code(files, capsys):
     # deflation at a point that is far from any root is a numerical failure
     code = main(

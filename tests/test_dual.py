@@ -28,6 +28,7 @@ from dualdeflate.dual import (
 from dualdeflate.errors import (
     DegenerateBasisError,
     DimensionMismatchError,
+    DualDeflateError,
     NonIsolatedSuspectError,
     NotARootError,
 )
@@ -445,12 +446,13 @@ def test_svd_gets_the_r_factor_of_tall_matrices(method, monkeypatch):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_svd_gets_at_most_the_closedness_candidates(method, monkeypatch):
-    """On LEC02, each degree's SVD has at most n dim D_(d-1) columns
-    wherever that is below the frame's B(d) - 1."""
+    """On LEC02, each computed degree's SVD has at most n dim D_(d-1)
+    columns wherever that is below the frame's B(d) - 1; the last degree
+    is left to the stop test."""
     shapes = record_shapes(monkeypatch)
     report = method(LEC02.system, LEC02.root)
     dims, n = report.per_degree_dims, LEC02.system.nvars
-    assert len(shapes) == len(dims) - 1
+    assert len(shapes) == len(dims) - 2
     below = 0
     for d, (_, (rows, cols)) in enumerate(shapes, start=1):
         bound, frame = n * dims[d - 1], comb(n + d, n) - 1
@@ -459,6 +461,109 @@ def test_svd_gets_at_most_the_closedness_candidates(method, monkeypatch):
             assert cols <= bound
             below += 1
     assert below >= 4
+
+
+# -- the loop ends without factoring the degree that adds nothing -----------
+
+# The benchmark's pure-power staircase shapes <x_1^a_1, ..., x_n^a_n>
+STAIRCASES = tuple(
+    monomial_ideal_entry(
+        "stair-" + "-".join(map(str, shape)),
+        tuple(tuple(a if j == i else 0 for j in range(len(shape)))
+              for i, a in enumerate(shape)),
+        len(shape),
+        30 + k,
+    )
+    for k, shape in enumerate(
+        ((2, 2), (3, 2), (3, 3), (4, 3), (4, 4), (2, 2, 2), (3, 3, 2), (3, 3, 3),
+         (2, 2, 2, 3))
+    )
+)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("entry", (LEC02,) + STAIRCASES, ids=lambda e: e.name)
+def test_last_degree_is_left_unfactored(entry, method, monkeypatch):
+    shapes = record_shapes(monkeypatch)
+    report = method(entry.system, entry.root)
+    dims = report.per_degree_dims
+    assert report.multiplicity == entry.multiplicity
+    assert dims[-1] == dims[-2]
+    assert len(shapes) == len(dims) - 2
+    # the stopping degree's rows are exact zeros
+    top = MonomialFrame.build(entry.system.nvars, report.degree - 1).size
+    assert not report.coefficients[top:].any()
+
+
+PURE_POWERS = (
+    tuple(monomial_ideal_entry(f"x^{k}", ((k,),), 1, k) for k in range(2, 7))
+    + tuple(
+        monomial_ideal_entry(f"x^2-y^{k}", ((2, 0), (0, k)), 2, 40 + k)
+        for k in range(1, 6)
+    )
+    # the stop test runs after degree 3 (h = 1, 2, 3, 2) and must not stop
+    + (monomial_ideal_entry("x^3-y^3", ((3, 0), (0, 3)), 2, 47),)
+)
+
+
+def assert_stops_at_the_last_degree(entry):
+    dims = dual_space_uncompressed(entry.system, entry.root, "ST")[0]
+    for method in METHODS:
+        report = method(entry.system, entry.root)
+        assert report.per_degree_dims == dims
+        assert report.multiplicity == entry.multiplicity
+
+
+@pytest.mark.parametrize("entry", PURE_POWERS, ids=lambda e: e.name)
+def test_loop_never_stops_before_the_last_degree(entry):
+    assert_stops_at_the_last_degree(entry)
+
+
+# Fixed draws: on some fresh draws, such as ((3,0,0),(0,3,0),(0,0,2)) with
+# seed 45, LAPACK's SVD does not converge inside the frame-wide reference.
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(monomial_ideals())
+def test_loop_never_stops_before_the_last_degree_on_monomial_ideals(ideal):
+    gens, n, seed = ideal
+    assert_stops_at_the_last_degree(monomial_ideal_entry("random", gens, n, seed))
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("entry", (LEC02,) + STAIRCASES[:3], ids=lambda e: e.name)
+def test_scaling_a_generator_keeps_the_stop(entry, method, monkeypatch):
+    F = entry.system
+    scaled = PolySystem(F.nvars, (F.polys[0] * 1e6, *F.polys[1:]), F.var_names)
+    counts = []
+    for G in (F, scaled):
+        shapes = record_shapes(monkeypatch)
+        dims = method(G, entry.root).per_degree_dims
+        counts.append((dims, len(shapes)))
+        monkeypatch.undo()
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("c", ["1e3", "1e6"])
+def test_stop_with_small_top_parts(method, c, monkeypatch):
+    """<x - c y^2, y^3, z^2>: the top part of the degree-3 element is about
+    1/c of it. The stop still holds; at 1e6, DZ's degree 4 would grow."""
+    F = parse_system(f"vars: x y z\nx - {c}*y^2;\ny^3;\nz^2;\n")
+    shapes = record_shapes(monkeypatch)
+    dims = method(F, [0, 0, 0]).per_degree_dims
+    assert dims == (1, 3, 5, 6, 6)
+    assert len(shapes) == len(dims) - 2
+
+
+def linear_system(n: int) -> PolySystem:
+    return PolySystem(n, tuple(Polynomial.variable(n, i) for i in range(n)))
+
+
+def test_frame_past_int64_is_a_typed_error():
+    # the binomial table up to degree 1 needs C(67, 33) > 2^63 at n = 66
+    for method in METHODS:
+        with pytest.raises(DualDeflateError, match="too large to index"):
+            method(linear_system(66), np.zeros(66))
+    assert dual_space_st(linear_system(65), np.zeros(65)).multiplicity == 1
 
 
 # Instances solved on fewer candidates than the frame at some degree; the
