@@ -12,7 +12,6 @@ from .linalg import (
 from .dual import (
     MonomialFrame,
     MultiplicityReport,
-    build_mdz,
     dual_space_dz,
     dual_space_st,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "numerical_rank",
     "MonomialFrame",
     "MultiplicityReport",
-    "build_mdz",
     "dual_space_dz",
     "dual_space_st",
     "AugmentedSystem",

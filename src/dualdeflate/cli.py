@@ -16,12 +16,13 @@ import time
 import numpy as np
 
 from . import __version__
-from .deflate import deflate_higher_order, deflation_matrix, predict_order
+from .deflate import DEFAULT_COEFF_TOL, deflate_higher_order
+from .deflate import deflation_matrix, predict_order
 from .dual import DEFAULT_MAX_DEGREE, dual_space_dz, dual_space_st
 from .errors import DimensionMismatchError, DualDeflateError, ParseError
 from .linalg import DEFAULT_RANK_TOL, _check_unit_interval
 from .parsing import parse_point, parse_system, serialize_system
-from .solver import DriverConfig, NewtonOptions, deflation_driver
+from .solver import DriverConfig, deflation_driver
 
 SCHEMA_VERSION = 1
 
@@ -75,8 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict-order", help="predict the deflation order")
     _common_flags(p)
-    p.add_argument("--tol-coeff", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol-coeff", type=float, default=DEFAULT_COEFF_TOL)
+    p.add_argument("--seed", type=int, default=DriverConfig.seed)
 
     deflate = sub.add_parser("deflate", help="one deflation step")
     solve = sub.add_parser("solve", help="deflate until regular, then refine")
@@ -85,9 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--order", type=_order, default="auto", help="auto, first, or an integer"
         )
-        p.add_argument("--tol-coeff", type=float, default=1e-4)
-        p.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--max-stages", type=int, default=10)
+        p.add_argument("--tol-coeff", type=float, default=DEFAULT_COEFF_TOL)
+        p.add_argument("--seed", type=int, default=DriverConfig.seed)
+    solve.add_argument("--max-stages", type=int, default=DriverConfig.max_stages)
 
     p = sub.add_parser("matrix", help="symbolic derivative-matrix dump")
     _common_flags(p, point=False)
@@ -181,7 +182,6 @@ def _run_solve(args, report, F, x0):
         tol_coeff=args.tol_coeff,
         max_stages=args.max_stages,
         seed=args.seed,
-        newton=NewtonOptions(tol_rank=args.tol_rank),
     )
     result = deflation_driver(F, x0, config)
     residual = float(np.linalg.norm(F.evaluate(result.refined_point)))

@@ -1,7 +1,8 @@
 """Construction of deflated (augmented) systems and deflation-order prediction.
 
 The generalized derivative matrices built here use unscaled partials
-d^beta, matching the operator side of the operator/functional pairing.
+d^beta, matching the operator side of the operator/functional pairing. A
+fixed operator's order is its largest |beta|, read from its own terms.
 """
 
 from __future__ import annotations
@@ -37,6 +38,11 @@ from .poly import (
 )
 
 
+# predict_order's cut: a coefficient along the kernel line below this
+# fraction of its equation's scale counts as zero
+DEFAULT_COEFF_TOL = 1e-4
+
+
 def unit_modulus(rng: np.random.Generator, shape) -> np.ndarray:
     """Random complex numbers on the unit circle (generic, well conditioned)."""
     return np.exp(2j * np.pi * rng.random(shape))
@@ -65,9 +71,9 @@ class SymbolicMatrix:
 
 @dataclass(frozen=True)
 class DeflationOperator:
-    """Constant-coefficient differential operator sum lambda_beta d^beta."""
+    """Constant-coefficient differential operator sum lambda_beta d^beta, of
+    order max |beta|."""
 
-    order: int
     terms: dict[Exponent, complex]
 
     def __post_init__(self):
@@ -78,15 +84,19 @@ class DeflationOperator:
             raise ValueError("negative exponent entry in operator term")
         if not clean:
             raise ValueError("deflation operator must have a nonzero coefficient")
-        for b in clean:
-            deg = total_degree(b)
-            if deg == 0 or deg > self.order:
-                raise ValueError(f"operator term {b} outside 1..{self.order}")
+        if not np.isfinite(list(clean.values())).all():
+            raise ValueError("operator coefficients must be finite")
+        if any(total_degree(b) == 0 for b in clean):
+            raise ValueError("operator term of order 0")
         object.__setattr__(self, "terms", clean)
 
     @property
     def nvars(self) -> int:
         return len(next(iter(self.terms)))
+
+    @property
+    def order(self) -> int:
+        return max(map(total_degree, self.terms))
 
 
 @dataclass(frozen=True)
@@ -155,7 +165,7 @@ def predict_order(
     F: PolySystem,
     x0: Sequence[complex],
     tol_rank: float = DEFAULT_RANK_TOL,
-    tol_coeff: float = 1e-4,
+    tol_coeff: float = DEFAULT_COEFF_TOL,
     rng: np.random.Generator | None = None,
 ) -> OrderPrediction:
     """Minimal deflation order from the support of F along a kernel line.
@@ -281,16 +291,14 @@ def deflate_higher_order(
     )
 
 
-def deflate_with_operator(
-    F: PolySystem, Q: DeflationOperator, d: int
-) -> AugmentedSystem:
-    """Augment F with Q applied to every x^alpha f_j, |alpha| < d; no new variables.
+def deflate_with_operator(F: PolySystem, Q: DeflationOperator) -> AugmentedSystem:
+    """Augment F with Q applied to every x^alpha f_j, |alpha| < d, where d is
+    Q's order; no new variables.
 
     Each appended row combines a row of ``deflation_matrix(F, d)`` with Q's
     coefficients as fixed weights.
     """
-    if Q.order > d:
-        raise ValueError(f"operator order {Q.order} exceeds deflation order {d}")
+    d = Q.order
     if Q.nvars != F.nvars:
         raise DimensionMismatchError(
             f"operator in {Q.nvars} variables, system in {F.nvars}"

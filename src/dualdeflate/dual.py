@@ -184,25 +184,13 @@ class _CoefficientRows:
         return V
 
     def mdz(self, d: int) -> np.ndarray:
-        """The degree-d matrix of :func:`build_mdz`: row (alpha, j), column
-        beta holds generator j's coefficient of x^(beta - alpha)."""
+        """The degree-d matrix of monomial-multiple conditions, N*B(d-1) by
+        B(d)-1: row (alpha, j) for |alpha| < d (alpha outer, in frame order,
+        j inner), column beta for 0 < |beta| <= d in frame order, holding
+        generator j's coefficient of x^(beta - alpha)."""
         T = _mdz_index(self.n, d)
         M = np.ascontiguousarray(self.over_frame(d)[:, T].transpose(1, 0, 2))
         return M.reshape(-1, T.shape[1])
-
-
-def build_mdz(
-    F: PolySystem, x0: Sequence[complex], d: int, tol: float = DEFAULT_RANK_TOL
-) -> np.ndarray:
-    """Matrix of monomial-multiple conditions at degree d.
-
-    Rows are labelled (x - x0)^alpha f_j for |alpha| < d (alpha outer, in
-    frame order, j inner); columns are the functionals D_beta for
-    0 < |beta| <= d in frame order. Size N*B(d-1) by B(d)-1.
-    """
-    if d < 1:
-        raise ValueError("degree must be >= 1")
-    return _CoefficientRows(F, x0, tol, d).mdz(d)
 
 
 def _scale_rows(M: np.ndarray) -> np.ndarray:

@@ -32,10 +32,6 @@ class MonomialOrder:
     weights: tuple[float, ...] | None = None
 
     @classmethod
-    def grlex(cls) -> "MonomialOrder":
-        return cls(None)
-
-    @classmethod
     def weighted(cls, w: Sequence[float]) -> "MonomialOrder":
         return cls(tuple(float(x) for x in w))
 
@@ -51,7 +47,7 @@ class MonomialOrder:
         return (w, total_degree(alpha), alpha)
 
 
-GRLEX = MonomialOrder.grlex()
+GRLEX = MonomialOrder()
 
 
 def _as_vector(pt: Sequence[complex], nvars: int, what: str = "point") -> np.ndarray:
@@ -282,6 +278,8 @@ class Polynomial:
         parts = []
         for alpha in sorted(self._terms, key=GRLEX.key):
             c = self._terms[alpha]
+            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+                raise ValueError(f"coefficient {c} of the monomial {alpha} is not finite")
             factors = []
             if c.imag == 0:
                 re = c.real

@@ -1,14 +1,16 @@
-"""Gauss-Newton refinement and the deflate-until-regular driver."""
+"""Gauss-Newton refinement and the deflate-until-regular driver, whose
+settings (``DriverConfig``) are the five ``solve`` flags."""
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .deflate import (
+    DEFAULT_COEFF_TOL,
     AugmentedSystem,
     deflate_first_order,
     deflate_higher_order,
@@ -36,10 +38,9 @@ class NewtonOptions:
 
     tol_step: float = 1e-14
     max_iters: int = 60
-    tol_rank: float = DEFAULT_RANK_TOL
 
     def __post_init__(self):
-        _check_unit_interval(tol_step=self.tol_step, tol_rank=self.tol_rank)
+        _check_unit_interval(tol_step=self.tol_step)
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -121,19 +122,22 @@ def is_regular(
     F: PolySystem, x: Sequence[complex], tol_rank: float = DEFAULT_RANK_TOL
 ) -> tuple[bool, RankReport]:
     """Whether the Jacobian at x has full column rank."""
+    _check_unit_interval(tol_rank=tol_rank)
     report = numerical_rank(F.jacobian_at(x), tol_rank, scale=F.jacobian_scale())
     return report.corank == 0, report
+
+
+# the largest relative residual at which the driver accepts a start point
+ROOT_TOL = 1e-4
 
 
 @dataclass(frozen=True)
 class DriverConfig:
     order_policy: str | int = "auto"  # "auto", "first", or a fixed integer order
     tol_rank: float = DEFAULT_RANK_TOL
-    tol_coeff: float = 1e-4
-    tol_root: float = 1e-4
+    tol_coeff: float = DEFAULT_COEFF_TOL
     max_stages: int = 10
     seed: int = 0
-    newton: NewtonOptions = field(default_factory=NewtonOptions)
 
     def __post_init__(self):
         if type(self.order_policy) is int:  # a bool is not an order
@@ -142,19 +146,21 @@ class DriverConfig:
         elif self.order_policy not in ("auto", "first"):
             raise ValueError(f"unknown order policy {self.order_policy!r}")
         _check_unit_interval(tol_rank=self.tol_rank, tol_coeff=self.tol_coeff)
-        if not 0 < self.tol_root < np.inf:
-            raise ValueError(f"tol_root must be positive and finite, got {self.tol_root}")
         if self.max_stages < 0:
             raise ValueError(f"max_stages must be >= 0, got {self.max_stages}")
 
 
 @dataclass(frozen=True)
 class DriverResult:
-    extended_point: np.ndarray  # the original variables, then each stage's multipliers
     stages: tuple[AugmentedSystem, ...]
     per_stage_rank: tuple[RankReport, ...]  # one per Newton run, the last decides
     traces: tuple[NewtonTrace, ...]
     final_system: PolySystem
+
+    @property
+    def extended_point(self) -> np.ndarray:
+        """The original variables, then each stage's multipliers."""
+        return self.traces[-1].final
 
     @property
     def stage_count(self) -> int:
@@ -187,10 +193,8 @@ def deflation_driver(
     """
     x = _as_vector(x0, F.nvars)
     residual = F.residual(x)
-    if not residual <= config.tol_root:  # also true for a NaN residual
-        raise NotARootError(
-            f"relative residual {residual:.3e} exceeds {config.tol_root:.1e}"
-        )
+    if not residual <= ROOT_TOL:  # also true for a NaN residual
+        raise NotARootError(f"relative residual {residual:.3e} exceeds {ROOT_TOL:.1e}")
     rng = np.random.default_rng(config.seed)
 
     current: PolySystem = F
@@ -203,7 +207,7 @@ def deflation_driver(
     rejections = 0
 
     while True:
-        trace = gauss_newton(current, point, config.newton)
+        trace = gauss_newton(current, point)
         traces.append(trace)
         point = trace.final
         # A rank decision at a point known only to accuracy e cannot trust
@@ -252,7 +256,7 @@ def deflation_driver(
         point = aug.extend_point(point)
         current = aug.system
 
-    return DriverResult(point, tuple(stages), tuple(ranks), tuple(traces), current)
+    return DriverResult(tuple(stages), tuple(ranks), tuple(traces), current)
 
 
 def _choose_order(

@@ -329,8 +329,8 @@ def mdz_by_lookup(shifted, n: int, d: int) -> np.ndarray:
 
     Row (alpha, j), column beta holds the coefficient of x^(beta - alpha) in
     the shifted generator j, looked up per cell. This per-entry loop is the
-    reference for the gather in ``build_mdz``; the frames it walks are checked
-    on their own in ``test_frame_sizes_and_order``.
+    reference for the gather in ``_CoefficientRows.mdz``; the frames it walks
+    are checked on their own in ``test_frame_sizes_and_order``.
     """
     rows_frame = MonomialFrame.build(n, d - 1)
     cols = MonomialFrame.build(n, d).nonzero()

@@ -217,10 +217,9 @@ def test_criterion_5_larger_example_operator():
         assert subspace_distance(kern, reference) < 1e-6
 
         Q = DeflationOperator(
-            2,
-            {(2, 0, 0): 1, (1, 1, 0): 6, (1, 0, 1): 8, (0, 2, 0): -3, (0, 0, 2): 4},
+            {(2, 0, 0): 1, (1, 1, 0): 6, (1, 0, 1): 8, (0, 2, 0): -3, (0, 0, 2): 4}
         )
-        aug = deflate_with_operator(F, Q, 2)
+        aug = deflate_with_operator(F, Q)
         A = deflation_matrix(F, 2)
         N = F.nequations
         x1 = Polynomial.variable(3, 0)
@@ -267,10 +266,8 @@ def test_criterion_7_strict_multiplicity_decrease():
             J = F.jacobian_at(root)
             kern = kernel_basis(J, 1e-8, scale=F.jacobian_scale())
             assert kern.shape[1] > 0, entry.name
-            Q1 = DeflationOperator(
-                1, dict(zip(_unit_exponents(F.nvars), kern[:, 0]))
-            )
-            fixed = deflate_with_operator(F, Q1, 1)
+            Q1 = DeflationOperator(dict(zip(_unit_exponents(F.nvars), kern[:, 0])))
+            fixed = deflate_with_operator(F, Q1)
             mu_fixed = dual_space_dz(fixed.system, root).multiplicity
             assert mu_fixed < before, entry.name
 
@@ -294,8 +291,7 @@ def test_criterion_7_strict_multiplicity_decrease():
 
 
 LEC02_Q = DeflationOperator(
-    2,
-    {(2, 0, 0): 1, (1, 1, 0): 6, (1, 0, 1): 8, (0, 2, 0): -3, (0, 0, 2): 4},
+    {(2, 0, 0): 1, (1, 1, 0): 6, (1, 0, 1): 8, (0, 2, 0): -3, (0, 0, 2): 4}
 )
 
 
@@ -306,7 +302,7 @@ def deflated_regular_system(entry):
     if F.nvars == 3 and entry.multiplicity == 18:
         # the indeterminate tower grows very large here; the known
         # second-order operator regularizes without new variables
-        aug = deflate_with_operator(F, LEC02_Q, 2)
+        aug = deflate_with_operator(F, LEC02_Q)
         return aug.system, root
     result = deflation_driver(
         F, root, DriverConfig(seed=3, max_stages=max(entry.multiplicity - 1, 1))

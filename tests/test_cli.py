@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from dualdeflate import cli, parse_system
+from dualdeflate import DriverConfig, cli, parse_system
 from dualdeflate.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -274,6 +274,25 @@ def test_non_finite_coefficient_exit_code(files, capsys):
     code = main(["matrix", files("s.txt", "vars: x\n1e400*x;\n"), "--order", "1"])
     assert code == EXIT_PARSE
     assert "line 2" in capsys.readouterr().err
+
+
+def test_overflowing_matrix_entry_exit_code(files, capsys):
+    # d/dx of 1e308*x^2 is 2e308 = inf: printing it used to raise a bare
+    # OverflowError
+    code = main(["matrix", files("s.txt", "vars: x\n1e308*x^2;\n"), "--order", "1"])
+    assert code == EXIT_NUMERICAL
+    assert "(inf+0j) of the monomial (1,) is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "deflate", "predict-order"])
+def test_flag_defaults_are_the_library_defaults(command):
+    args = cli.build_parser().parse_args([command, "s.txt", "p.txt"])
+    config = DriverConfig()
+    assert (args.tol_rank, args.tol_coeff, args.seed) == (
+        config.tol_rank, config.tol_coeff, config.seed
+    )
+    if command == "solve":
+        assert (args.order, args.max_stages) == (config.order_policy, config.max_stages)
 
 
 

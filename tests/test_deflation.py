@@ -139,39 +139,52 @@ def test_truncated_matrix_shapes_and_content():
 
 def test_operator_validation():
     with pytest.raises(ValueError):
-        DeflationOperator(2, {})
+        DeflationOperator({})
     with pytest.raises(ValueError):
-        DeflationOperator(2, {(0, 0): 1.0})
-    with pytest.raises(ValueError):
-        DeflationOperator(1, {(2, 0): 1.0})
-    Q = DeflationOperator(2, {(2, 0): 1.0, (0, 2): -1.0})
+        DeflationOperator({(0, 0): 1.0})
+    Q = DeflationOperator({(2, 0): 1.0, (0, 2): -1.0})
     assert Q.nvars == 2
 
 
+def test_operator_order_is_its_largest_term():
+    assert DeflationOperator({(1, 0): 1.0}).order == 1
+    assert DeflationOperator({(0, 1): 1.0, (2, 1): 0.5}).order == 3
+    # a zero coefficient is no term and sets no order
+    assert DeflationOperator({(1, 1): 2.0, (0, 4): 0}).order == 2
+
+
+@pytest.mark.parametrize("c", [np.nan, np.inf, complex(0.0, -np.inf)], ids=str)
+def test_operator_rejects_non_finite_coefficients(c):
+    # a NaN coefficient used to give a deflated system that could not be
+    # printed and whose residual was NaN
+    with pytest.raises(ValueError, match="finite"):
+        DeflationOperator({(1, 0): c, (0, 1): 1.0})
+
+
 def test_operator_rejects_negative_exponent_entries():
-    # (2, -1) has total degree 1, inside 1..order; it used to be dropped
+    # (2, -1) has total degree 1, a valid order; it used to be dropped
     # silently when the operator was applied
     with pytest.raises(ValueError, match="negative"):
-        DeflationOperator(2, {(0, 1): 1, (2, -1): 5})
+        DeflationOperator({(0, 1): 1, (2, -1): 5})
 
 
 def test_operator_rejects_exponents_of_different_lengths():
     # nvars used to come from the first key alone, and the 3-variable term
     # was then lost on ex2
     with pytest.raises(DimensionMismatchError):
-        DeflationOperator(2, {(1, 0): 1, (1, 0, 0): 2})
+        DeflationOperator({(1, 0): 1, (1, 0, 0): 2})
 
 
 def test_operator_row_matches_brute_derivative():
     p = Polynomial(2, {(3, 1): 2.0, (1, 2): -1.5, (0, 4): 1j})
-    Q = DeflationOperator(2, {(1, 0): 2.0, (1, 1): -1.0, (0, 2): 0.5j})
+    Q = DeflationOperator({(1, 0): 2.0, (1, 1): -1.0, (0, 2): 0.5j})
     expected: dict = {}
     for beta, lam in Q.terms.items():
         for e, c in brute_derivative(p.terms, beta).items():
             expected[e] = expected.get(e, 0) + lam * c
     expected = {e: c for e, c in expected.items() if c != 0}
     # the first appended row is Q applied to p itself (alpha = 0)
-    aug = deflate_with_operator(PolySystem(2, (p,)), Q, 2)
+    aug = deflate_with_operator(PolySystem(2, (p,)), Q)
     assert aug.system.polys[1].terms == pytest.approx(expected)
 
 
@@ -400,8 +413,8 @@ def test_higher_order_regular_point_raises():
 
 def test_fixed_operator_augmentation():
     F = EX2.system
-    Q = DeflationOperator(2, {(2, 0): 1.0, (0, 2): 1.0})
-    aug = deflate_with_operator(F, Q, 2)
+    Q = DeflationOperator({(2, 0): 1.0, (0, 2): 1.0})
+    aug = deflate_with_operator(F, Q)
     n, N = F.nvars, F.nequations
     assert aug.multiplier_count == 0
     assert aug.system.nvars == n
@@ -409,11 +422,19 @@ def test_fixed_operator_augmentation():
     # rows follow deflation_matrix: alpha = 0 first, equations inner
     for i in range(N):
         assert aug.system.polys[N + i] == apply_operator(Q, F.polys[i])
-    with pytest.raises(ValueError):
-        deflate_with_operator(F, Q, 1)
-    Q3 = DeflationOperator(2, {(2, 0, 0): 1.0})
+    Q3 = DeflationOperator({(2, 0, 0): 1.0})
     with pytest.raises(DimensionMismatchError):
-        deflate_with_operator(F, Q3, 2)
+        deflate_with_operator(F, Q3)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_fixed_operator_rows_follow_its_order(order):
+    # N * C(n + order - 1, n) rows: every x^alpha f_j with |alpha| < order
+    F = SEC61.system
+    n, N = F.nvars, F.nequations
+    aug = deflate_with_operator(F, DeflationOperator({(0, order): 1.0, (1, 0): 2.0}))
+    assert aug.order == order
+    assert aug.system.nequations == N + N * comb(n + order - 1, n)
 
 
 # -- multiplicity drop (spot checks; the full sweep is in the acceptance suite)
@@ -515,8 +536,9 @@ def test_operator_rows_match_term_by_term_application(entry):
     for d in (1, 2):
         betas = deflation_matrix(F, d, multiples=False).col_labels
         coeffs = unit_modulus(rng, len(betas)) * rng.uniform(0.5, 2.0, len(betas))
-        Q = DeflationOperator(d, dict(zip(betas, coeffs)))
-        new = deflate_with_operator(F, Q, d)
+        Q = DeflationOperator(dict(zip(betas, coeffs)))
+        assert Q.order == d
+        new = deflate_with_operator(F, Q)
         old = oracles.old_deflate_with_operator(F, Q, d)
         assert new.system.nequations == old.system.nequations
         assert (new.multiplier_count, new.order, new.kind) == (0, d, "fixed-operator")

@@ -14,12 +14,12 @@ from dualdeflate import (
     MonomialOrder,
     Polynomial,
     PolySystem,
-    build_mdz,
     dual_space_dz,
     dual_space_st,
     parse_system,
 )
 from dualdeflate.dual import (
+    _CoefficientRows,
     _frame_index,
     _integral_index,
     _mdz_index,
@@ -89,7 +89,7 @@ def _mdz_oracle(F, x0, d):
 @pytest.mark.parametrize("entry", [EX2, SEC61])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_mdz_matches_functional_oracle(entry, d):
-    M = build_mdz(entry.system, entry.root, d)
+    M = _CoefficientRows(entry.system, entry.root, 1e-8, d).mdz(d)
     n, N = entry.system.nvars, entry.system.nequations
     assert M.shape == (N * comb(n + d - 1, n), comb(n + d, n) - 1)
     assert np.allclose(M, _mdz_oracle(entry.system, entry.root, d), atol=1e-12)
@@ -98,14 +98,14 @@ def test_mdz_matches_functional_oracle(entry, d):
 def test_mdz_nonzero_basepoint():
     F = parse_system("vars: x y\n(x - 1)^2;\n(x - 1)*(y + 2);\n(y + 2)^2;")
     root = np.array([1.0, -2.0])
-    M = build_mdz(F, root, 2)
+    M = _CoefficientRows(F, root, 1e-8, 2).mdz(2)
     assert np.allclose(M, _mdz_oracle(F, root, 2), atol=1e-12)
 
 
 # -- the gathered matrix equals the per-entry lookup, bit for bit ----------
 
 def assert_mdz_matches_lookup(F, x0, d, tol=1e-8):
-    M = build_mdz(F, x0, d, tol)
+    M = _CoefficientRows(F, x0, tol, d).mdz(d)
     ref = mdz_by_lookup([p.shift(x0) for p in F.polys], F.nvars, d)
     assert M.shape == ref.shape
     assert M.dtype == ref.dtype == complex  # also for a real system
@@ -186,7 +186,7 @@ def test_mdz_index_memory_follows_the_matrix():
 
 def test_mdz_rejects_non_root():
     with pytest.raises(NotARootError):
-        build_mdz(EX2.system, [0.3, 0.1], 2)
+        _CoefficientRows(EX2.system, [0.3, 0.1], 1e-8, 2)
 
 
 @pytest.mark.parametrize("method", [dual_space_dz, dual_space_st])

@@ -1,5 +1,7 @@
 """Gauss-Newton refinement and the deflate-until-regular driver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,8 +24,6 @@ def test_newton_options_validation():
     with pytest.raises(ValueError):
         NewtonOptions(tol_step=0.0)
     with pytest.raises(ValueError):
-        NewtonOptions(tol_rank=2.0)
-    with pytest.raises(ValueError):
         NewtonOptions(max_iters=0)
     with pytest.raises(ValueError):
         DriverConfig(order_policy="sometimes")
@@ -35,7 +35,6 @@ def test_newton_options_validation():
     "setting",
     [
         {"tol_rank": -1.0}, {"tol_rank": 1.0}, {"tol_coeff": -1.0}, {"tol_coeff": 0.0},
-        {"tol_root": 0.0}, {"tol_root": float("inf")}, {"tol_root": float("nan")},
         {"max_stages": -1}, {"order_policy": True},
     ],
     ids=str,
@@ -43,7 +42,17 @@ def test_newton_options_validation():
 def test_driver_config_rejects_out_of_range_settings(setting):
     with pytest.raises(ValueError):
         DriverConfig(**setting)
-    DriverConfig(max_stages=0, tol_root=10.0)  # the edges that stay valid
+    DriverConfig(max_stages=0)  # the edge that stays valid
+
+
+def test_settings_are_the_ones_callers_set():
+    # the CLI's five solve flags; Newton's rank cut is the driver's per stage
+    assert [f.name for f in dataclasses.fields(DriverConfig)] == [
+        "order_policy", "tol_rank", "tol_coeff", "max_stages", "seed",
+    ]
+    assert [f.name for f in dataclasses.fields(NewtonOptions)] == [
+        "tol_step", "max_iters",
+    ]
 
 
 def test_newton_regular_root_quadratic():
@@ -108,6 +117,16 @@ def test_is_regular():
     assert not ok
 
 
+@pytest.mark.parametrize("tol", [5.0, -1.0, 0.0, 1.0, float("nan")])
+def test_is_regular_rejects_tolerance_outside_unit_interval(tol):
+    # at this regular root 5.0 used to read singular and -1.0 regular
+    F = parse_system("vars: x y\nx^2 + y - 1;\nx - y;")
+    root = [(np.sqrt(5) - 1) / 2] * 2
+    assert is_regular(F, root)[0]
+    with pytest.raises(ValueError, match="tol_rank"):
+        is_regular(F, root, tol)
+
+
 def test_driver_rejects_non_roots():
     with pytest.raises(NotARootError):
         deflation_driver(EX2.system, [0.5, 0.5])
@@ -154,7 +173,9 @@ def test_driver_regularizes_perturbed_starts(name):
     assert result.stage_count <= max(entry.multiplicity - 1, 1)
     assert np.linalg.norm(entry.system.evaluate(result.refined_point)) < 1e-10
     assert np.linalg.norm(result.refined_point - entry.root) < 1e-8
-    # extended point projects back onto the original variables
+    # the extended point is the last Newton point, and projects back onto
+    # the original variables
+    assert result.extended_point is result.traces[-1].final
     assert np.allclose(
         result.extended_point[: len(entry.root)], result.refined_point
     )
@@ -224,6 +245,7 @@ def test_driver_fourth_rejection_ends_the_run(monkeypatch):
     )
     assert orders == [2, 3, 4, 5]
     assert result.stage_count == 0 and not result.final_regular
+    assert result.extended_point is result.traces[-1].final
     assert len(result.per_stage_rank) == len(result.traces) == 1
 
 
