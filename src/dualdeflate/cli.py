@@ -16,13 +16,13 @@ import time
 import numpy as np
 
 from . import __version__
-from .deflate import DEFAULT_COEFF_TOL, deflate_higher_order
-from .deflate import deflation_matrix, predict_order
+from .deflate import DEFAULT_COEFF_TOL, deflation_matrix, predict_order
 from .dual import DEFAULT_MAX_DEGREE, dual_space_dz, dual_space_st
-from .errors import DimensionMismatchError, DualDeflateError, ParseError
-from .linalg import DEFAULT_RANK_TOL, _check_unit_interval
+from .errors import AlreadyRegularError, DimensionMismatchError, DualDeflateError
+from .errors import OrderTooLowError, ParseError
+from .linalg import DEFAULT_RANK_TOL
 from .parsing import parse_point, parse_system, serialize_system
-from .solver import DriverConfig, deflation_driver
+from .solver import DriverConfig, deflation_driver, refine
 
 SCHEMA_VERSION = 1
 
@@ -142,8 +142,11 @@ def _run_multiplicity(args, report, F, x0):
 
 
 def _run_predict_order(args, report, F, x0):
+    """The driver's order prediction: at the refined point, with the rank
+    tolerance that point supports."""
+    trace, tol_rank = refine(F, x0, args.tol_rank)
     rng = np.random.default_rng(args.seed)
-    pred = predict_order(F, x0, args.tol_rank, args.tol_coeff, rng)
+    pred = predict_order(F, trace.final, tol_rank, args.tol_coeff, rng)
     report.update(order=pred.d, support_degrees=sorted(pred.support_degrees))
     return EXIT_OK
 
@@ -161,29 +164,29 @@ def _augmented_report(aug, stage: int):
     }
 
 
+def _driver_config(args, max_stages: int) -> DriverConfig:
+    return DriverConfig(
+        order_policy=args.order,
+        tol_rank=args.tol_rank,
+        tol_coeff=args.tol_coeff,
+        max_stages=max_stages,
+        seed=args.seed,
+    )
+
+
 def _run_deflate(args, report, F, x0):
-    _check_unit_interval(tol_coeff=args.tol_coeff)
-    rng = np.random.default_rng(args.seed)
-    if args.order == "first":
-        d = 1
-    elif args.order == "auto":
-        d = predict_order(F, x0, args.tol_rank, args.tol_coeff, rng).d
-    else:
-        d = args.order
-    aug = deflate_higher_order(F, d, x0, args.tol_rank, rng)
-    report.update(_augmented_report(aug, 1))
+    """The driver's first stage."""
+    result = deflation_driver(F, x0, _driver_config(args, max_stages=1))
+    if not result.stages:
+        if result.final_regular:
+            raise AlreadyRegularError("Jacobian has full rank at the refined point")
+        raise OrderTooLowError("every order tried gave a full-rank derivative matrix")
+    report.update(_augmented_report(result.stages[0], 1))
     return EXIT_OK
 
 
 def _run_solve(args, report, F, x0):
-    config = DriverConfig(
-        order_policy=args.order,
-        tol_rank=args.tol_rank,
-        tol_coeff=args.tol_coeff,
-        max_stages=args.max_stages,
-        seed=args.seed,
-    )
-    result = deflation_driver(F, x0, config)
+    result = deflation_driver(F, x0, _driver_config(args, args.max_stages))
     residual = float(np.linalg.norm(F.evaluate(result.refined_point)))
     report.update(
         final_regular=result.final_regular,

@@ -28,12 +28,12 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Callable, Sequence
+from operator import add
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateBasisError, DualDeflateError
-from .errors import NonIsolatedSuspectError, NotARootError
+from .errors import DegenerateBasisError, NonIsolatedSuspectError, NotARootError
 from .linalg import DEFAULT_RANK_TOL, _check_unit_interval, _factor, kernel_basis
 from .linalg import prune_rows  # noqa: F401  (bench/tracer.py patches dual.prune_rows)
 from .poly import GRLEX, Exponent, MonomialOrder, PolySystem, _as_vector
@@ -61,11 +61,10 @@ class MonomialFrame:
         return self.exponents[1:]
 
     @cached_property
-    def array(self) -> np.ndarray:
-        """The exponents as a read-only int array, one per row."""
-        A = np.array(self.exponents, dtype=np.int64).reshape(self.size, self.nvars)
-        A.flags.writeable = False
-        return A
+    def position(self) -> dict[Exponent, int]:
+        """Each exponent's index in the frame: its grlex rank, as frames are
+        grlex-sorted prefixes of each other."""
+        return {e: i for i, e in enumerate(self.exponents)}
 
 
 @lru_cache(maxsize=None)
@@ -102,39 +101,19 @@ class MultiplicityReport:
         return len(self.per_degree_dims) - 1
 
 
-def _frame_index(part: Callable[[int], np.ndarray], n: int, degree: int) -> np.ndarray:
-    """Frame index of the exponents whose i-th components are ``part(i)``,
-    -1 for those with a negative component; ``degree`` bounds their degree.
-
-    Frames are grlex-sorted prefixes of each other, so the index is the grlex
-    rank: the exponents of lower degree, plus, per variable, those of equal
-    degree that agree before it and are smaller at it. One component at a
-    time keeps memory to a few arrays of the components' broadcast shape.
-    Raises DualDeflateError when the binomial table would not fit in int64.
-    """
-    if comb(degree + n, min(n, (degree + n) // 2)) > np.iinfo(np.int64).max:
-        raise DualDeflateError(
-            f"monomial frames of {n} variables up to degree {degree} "
-            "are too large to index in int64"
-        )
-    C = np.array([[comb(t, m) for m in range(n + 1)] for t in range(degree + n + 1)])
-    valid, rank, r = True, 0, 0
-    for i in reversed(range(n)):
-        a = part(i)
-        valid = valid & (a >= 0)
-        m = n - 1 - i
-        prev, r = r, r + np.maximum(a, 0)
-        rank = rank + C[r + m, m] - C[prev + m, m]
-    return np.where(valid, rank + C[r + n - 1, n], -1)
-
-
 @lru_cache(maxsize=None)
 def _mdz_index(n: int, d: int) -> np.ndarray:
     """T[a, c]: frame index of beta_c - alpha_a over the degree-d matrix's
-    row monomials alpha and column exponents beta, -1 if it goes negative."""
-    alphas = MonomialFrame.build(n, d - 1).array
-    betas = MonomialFrame.build(n, d).array[1:]
-    T = _frame_index(lambda i: betas[:, i] - alphas[:, i, None], n, d)
+    row monomials alpha and column exponents beta, -1 if it goes negative.
+    Only the valid cells are visited: each gamma of frame(d - |alpha|) is
+    beta - alpha for beta = alpha + gamma."""
+    frame, alphas = MonomialFrame.build(n, d), MonomialFrame.build(n, d - 1).exponents
+    T = np.full((len(alphas), frame.size - 1), -1, dtype=np.intp)
+    T[0] = np.arange(1, frame.size)  # alpha = 0: beta itself
+    for a, alpha in enumerate(alphas[1:], start=1):
+        gammas = MonomialFrame.build(n, d - sum(alpha)).exponents
+        cols = [frame.position[tuple(map(add, alpha, g))] - 1 for g in gammas]
+        T[a, cols] = np.arange(len(gammas))
     T.flags.writeable = False
     return T
 
@@ -144,17 +123,17 @@ def _integral_index(n: int, d: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]
     """U[j, g]: frame(d) index of gamma_g + e_j over the exponents gamma_g of
     frame(d - 1); Z[j]: the g whose gamma_g is zero before component j, which
     integral_j maps to gamma_g + e_j rather than to zero."""
-    A = MonomialFrame.build(n, d - 1).array
-    U = np.stack([_frame_index(lambda i: A[:, i] + (i == j), n, d) for j in range(n)])
-    head = np.cumsum(A, axis=1) - A  # the sum of the components before each
-    Z = tuple(np.flatnonzero(head[:, j] == 0) for j in range(n))
+    lower = MonomialFrame.build(n, d - 1).exponents
+    pos = MonomialFrame.build(n, d).position
+    U = np.array([[pos[e[:j] + (e[j] + 1,) + e[j + 1 :]] for e in lower] for j in range(n)])
+    Z = tuple(np.flatnonzero([not any(e[:j]) for e in lower]) for j in range(n))
     for a in (U, *Z):
         a.flags.writeable = False
     return U, Z
 
 
 class _CoefficientRows:
-    """The generators shifted to the root, each term placed by frame index."""
+    """The generators shifted to the root, each term kept with its exponent."""
 
     def __init__(self, F: PolySystem, x0, tol: float, max_d: int):
         x0 = _as_vector(x0, F.nvars)
@@ -164,23 +143,22 @@ class _CoefficientRows:
                 f"residual {residual:.3e} at the given point exceeds "
                 f"tolerance {tol:.1e}"
             )
-        n, shifted = F.nvars, [p.shift(x0) for p in F.polys]
+        shifted = [p.shift(x0) for p in F.polys]
+        # terms above max_d are never read: no frame the loop builds holds them
         items = [(j, e, c) for j, p in enumerate(shifted) for e, c in p.items()]
-        # terms above max_d are never used; dropping them keeps the ranks in int64
         items = [t for t in items if sum(t[1]) <= max_d]
-        E = np.array([e for _, e, _ in items], dtype=np.int64).reshape(len(items), n)
-        self.n, self.count = n, len(shifted)
+        self.n, self.count = F.nvars, len(shifted)
         self.eq = np.array([j for j, _, _ in items], dtype=np.intp)
-        self.index = _frame_index(lambda i: E[:, i], n, int(E.sum(1).max(initial=0)))
+        self.exponents = [e for _, e, _ in items]
         self.values = np.array([c for _, _, c in items], dtype=complex)
 
     def over_frame(self, d: int) -> np.ndarray:
         """Row j: generator j's coefficients over frame(d), dropping terms
         above degree d, then the zero entry that index -1 picks."""
-        size = MonomialFrame.build(self.n, d).size
-        V = np.zeros((self.count, size + 1), dtype=self.values.dtype)
-        keep = self.index < size
-        V[self.eq[keep], self.index[keep]] = self.values[keep]
+        pos = MonomialFrame.build(self.n, d).position
+        keep = [k for k, e in enumerate(self.exponents) if e in pos]
+        V = np.zeros((self.count, len(pos) + 1), dtype=self.values.dtype)
+        V[self.eq[keep], [pos[self.exponents[k]] for k in keep]] = self.values[keep]
         return V
 
     def mdz(self, d: int) -> np.ndarray:

@@ -127,6 +127,26 @@ def is_regular(
     return report.corank == 0, report
 
 
+def refine(
+    F: PolySystem, x0: Sequence[complex], tol_rank: float
+) -> tuple[NewtonTrace, float]:
+    """Gauss-Newton from x0, and the rank tolerance its final point supports.
+
+    A rank decision at a point known only to accuracy e cannot trust
+    singular values below ~e times the Jacobian scale (roots away from the
+    origin stall at the cancellation-noise floor ~sqrt(eps)), so tol_rank is
+    widened to 10 times the last Newton step, and capped at 1e-2; a stalled
+    iteration (no step satisfied the step criterion) is assumed to be no
+    better than the double-precision floor ~1e-8 however small its last
+    accepted step was.
+    """
+    _check_unit_interval(tol_rank=tol_rank)
+    trace = gauss_newton(F, x0)
+    stall_floor = 0.0 if trace.converged else 1e-8
+    step = max(trace.step_norms[-1], stall_floor)
+    return trace, min(max(tol_rank, 10.0 * step), 1e-2)
+
+
 # the largest relative residual at which the driver accepts a start point
 ROOT_TOL = 1e-4
 
@@ -207,21 +227,9 @@ def deflation_driver(
     rejections = 0
 
     while True:
-        trace = gauss_newton(current, point)
+        trace, tol_eff = refine(current, point, config.tol_rank)
         traces.append(trace)
         point = trace.final
-        # A rank decision at a point known only to accuracy e cannot trust
-        # singular values below ~e times the Jacobian scale (roots away from
-        # the origin stall at the cancellation-noise floor ~sqrt(eps)), so
-        # widen the tolerance by the size of the last Newton step; a stalled
-        # iteration (no step satisfied the step criterion) is assumed to be
-        # no better than the double-precision floor ~1e-8 regardless of how
-        # small its last accepted step was.
-        stall_floor = 0.0 if trace.converged else 1e-8
-        tol_eff = min(
-            max(config.tol_rank, 10.0 * max(trace.step_norms[-1], stall_floor)),
-            1e-2,
-        )
         regular, report = is_regular(current, point, tol_eff)
         ranks.append(report)
         if regular or len(stages) >= config.max_stages:

@@ -16,8 +16,8 @@ whose support order prediction must find from values on the unit circle;
 ``corank_drop_order``, the exact deflation order at a known root that
 order prediction must find; ``mdz_by_lookup``, the per-entry construction
 that the vectorised assembly must match bit for bit;
-``dual_space_uncompressed``, the degree loop that hands each scaled matrix
-to the SVD whole, with ``st_matrix``, the ST matrix over the whole frame
+``dual_space_uncompressed``, the degree loop that solves each degree over
+the whole frame, with ``st_matrix``, the ST matrix over the whole frame
 with its previous degree pruned through the anti-derivations of
 ``build_sigma``; ``initial_support_by_scan``, the
 column-by-column, row-by-row reduction; and the three separate deflation
@@ -376,14 +376,18 @@ def st_matrix(rows: _CoefficientRows, d: int, prev, tol: float) -> np.ndarray:
 
 
 def dual_space_uncompressed(F, x0, method: str, tol: float = 1e-8, max_d: int = 16):
-    """The dual-space degree loop with every scaled matrix taken whole.
+    """The dual-space degree loop with every degree solved over the whole frame.
 
     Returns the per-degree dims, the stopping degree and the kernel at it,
     whose columns are the coefficients of the basis elements other than D_0
     over the nonzero exponents of frame(degree). ST takes its columns over
     the whole frame and prunes the whole matrix of the previous degree.
     Like the package's loop, it runs in real arithmetic when every shifted
-    coefficient is real, so the two differ only in how each matrix is taken.
+    coefficient is real and hands a tall matrix to the SVDs as its R factor
+    (the same singular values and row space; LAPACK's SVD of a tall ST matrix
+    with entries from 1e-20 to 1 can fail to converge where the R factor's
+    does not), so the two differ only in the columns each degree is solved
+    over.
     """
     rows = _CoefficientRows(F, x0, tol, max_d)
     if not rows.values.imag.any():
@@ -394,6 +398,8 @@ def dual_space_uncompressed(F, x0, method: str, tol: float = 1e-8, max_d: int = 
             M = _scale_rows(rows.mdz(d))
         else:
             M = _scale_rows(st_matrix(rows, d, M, tol))
+        if M.shape[0] > M.shape[1]:
+            M = np.linalg.qr(M, mode="r")
         kernel = kernel_basis(M, tol)
         dims.append(1 + kernel.shape[1])
         if dims[-1] <= dims[-2]:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from dualdeflate import DriverConfig, cli, parse_system
+from dualdeflate import DriverConfig, cli, parse_system, solver
 from dualdeflate.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -12,6 +12,7 @@ from dualdeflate.cli import (
     SCHEMA_VERSION,
     main,
 )
+from dualdeflate.errors import OrderTooLowError
 
 EX2_TEXT = "vars: x1 x2\nx1*x2;\nx1^2 - x2^2;\nx2^4;\n"
 SEC61_TEXT = (
@@ -94,6 +95,44 @@ def test_deflate_emits_reparsable_system(files, capsys):
     assert G.nvars == report["variables"]
     assert G.nequations == report["equations"]
     assert len(report["lambda_estimate"]) == report["multiplier_count"]
+
+
+# 1e-6 off EX2's root: at 1e-8 the unrefined Jacobian reads full rank
+NEAR_EX2 = "x1 = 1e-6\nx2 = -1e-6\n"
+
+
+def test_deflate_near_the_root_is_the_first_solve_stage(files, capsys):
+    inputs = [files("s.txt", EX2_TEXT), files("p.txt", NEAR_EX2)]
+    code, report = run_json(capsys, ["deflate", *inputs])
+    assert code == EXIT_OK
+    assert report["kind"] == "first-order-B"
+    code, solved = run_json(capsys, ["solve", *inputs])
+    assert code == EXIT_OK
+    assert solved["stages"][0] == {k: report[k] for k in solved["stages"][0]}
+
+
+def test_deflate_without_a_stage_exit_code(files, capsys, monkeypatch):
+    # a regular root: the driver builds no stage
+    regular = [files("s.txt", "vars: x y\nx;\ny;\n"), files("p.txt", "x = 0\ny = 0\n")]
+    assert main(["deflate", *regular]) == EXIT_NUMERICAL
+    assert "full rank at the refined point" in capsys.readouterr().err
+
+    # a singular root where the builder rejects every order it is given
+    def reject(*args, **kwargs):
+        raise OrderTooLowError("full rank")
+
+    monkeypatch.setattr(solver, "deflate_higher_order", reject)
+    argv = ["deflate", files("s.txt", EX2_TEXT), files("p.txt", ORIGIN2), "--order", "2"]
+    assert main(argv) == EXIT_NUMERICAL
+    assert "every order tried" in capsys.readouterr().err
+
+
+def test_predict_order_near_the_root_refines_first(files, capsys):
+    code, report = run_json(
+        capsys, ["predict-order", files("s.txt", EX2_TEXT), files("p.txt", NEAR_EX2)]
+    )
+    assert code == EXIT_OK
+    assert (report["order"], report["support_degrees"]) == (1, [2, 4])
 
 
 @pytest.mark.parametrize("order", ["0", "-3"])
@@ -348,12 +387,13 @@ def test_out_of_memory_exit_code(files, capsys, monkeypatch):
 
 @pytest.mark.parametrize("method", ["dz", "st"])
 def test_frame_past_int64_exit_code(files, capsys, method):
-    # 66 linear equations: the frame index table would overflow int64
+    # 66 linear equations: grlex ranks from a binomial table would overflow int64
     names = [f"x{i}" for i in range(66)]
     system = files("s.txt", f"vars: {' '.join(names)}\n" + "".join(f"{v};\n" for v in names))
     point = files("p.txt", "".join(f"{v} = 0\n" for v in names))
-    assert main(["multiplicity", system, point, "--method", method]) == EXIT_NUMERICAL
-    assert "too large to index" in capsys.readouterr().err
+    code, report = run_json(capsys, ["multiplicity", system, point, "--method", method])
+    assert code == EXIT_OK
+    assert report["multiplicity"] == 1
 
 
 def test_non_root_point_exit_code(files, capsys):
