@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -44,10 +45,12 @@ def _read(path: str) -> str:
 
 
 def _common_flags(p: argparse.ArgumentParser, point: bool = True):
+    """The system file and --format; with ``point``, the point file and the
+    rank tolerance of the decisions made there."""
     p.add_argument("system", help="system file ('-' for stdin)")
     if point:
         p.add_argument("point", help="point file")
-    p.add_argument("--tol-rank", type=float, default=DEFAULT_RANK_TOL)
+        p.add_argument("--tol-rank", type=float, default=DEFAULT_RANK_TOL)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 
@@ -234,10 +237,9 @@ _RUNNERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     report: dict = {"schema_version": SCHEMA_VERSION, "command": args.command}
-    report["tolerances"] = {"tol_rank": args.tol_rank}
-    for name in ("tol_coeff",):
-        if hasattr(args, name):
-            report["tolerances"][name] = getattr(args, name)
+    tolerances = {k: getattr(args, k) for k in ("tol_rank", "tol_coeff") if k in args}
+    if tolerances:
+        report["tolerances"] = tolerances
     if hasattr(args, "seed"):
         report["seed"] = args.seed
     start = time.perf_counter()
@@ -258,7 +260,13 @@ def main(argv=None) -> int:
         print("error: out of memory", file=sys.stderr)
         return EXIT_NUMERICAL
     timings = {"total_seconds": time.perf_counter() - start}
-    _emit(report, args.format, timings)
+    try:
+        _emit(report, args.format, timings)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: send what is left to devnull, so that the
+        # interpreter's own flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count, islice
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -135,6 +136,23 @@ class OrderPrediction:
         return min(self.support_degrees) - 1
 
 
+def _derivative(terms, beta: Exponent) -> dict[Exponent, complex]:
+    """d^beta of the terms (e, c): c x^e gives c e!/(e-beta)! x^(e-beta), or
+    nothing where e < beta. Distinct e give distinct exponents."""
+    support = [(i, b) for i, b in enumerate(beta) if b]
+    out = {}
+    for e, c in terms:
+        if any(e[i] < b for i, b in support):
+            continue
+        rem, fac = list(e), 1
+        for i, b in support:
+            rem[i] -= b
+            for k in range(rem[i] + 1, e[i] + 1):
+                fac *= k
+        out[tuple(rem)] = c * fac
+    return out
+
+
 def deflation_matrix(
     F: PolySystem, d: int, multiples: bool = True, top: bool = False
 ) -> SymbolicMatrix:
@@ -156,8 +174,10 @@ def deflation_matrix(
     for alpha in alphas:
         for j, f in enumerate(F.polys):
             rows.append((alpha, j))
-            shifted = f.monomial_multiply(alpha)
-            entries.append(tuple(shifted.diff(beta) for beta in cols))
+            shifted = [(tuple(map(add, e, alpha)), c) for e, c in f.items()]
+            entries.append(tuple(
+                Polynomial._trusted(n, _derivative(shifted, beta)) for beta in cols
+            ))
     return SymbolicMatrix(tuple(rows), cols, tuple(entries))
 
 
@@ -204,10 +224,18 @@ def _extended_names(F: PolySystem, k: int) -> tuple[str, ...]:
     return F.var_names + tuple(islice(fresh, k))
 
 
-def _weighted_sum(acc: Polynomial, weights, polys) -> Polynomial:
-    """acc + sum_c w_c * p_c, added in order; a weight is a number or a polynomial."""
+def _weighted_sum(weights, polys) -> dict[Exponent, complex]:
+    """sum_c w_c * p_c as one term map, added in order, term by term; a sum
+    that cancels to zero drops its term, as ``Polynomial`` addition does."""
+    acc = {}
     for w, p in zip(weights, polys):
-        acc = acc + w * p
+        w = complex(w)
+        for e, c in p.items():
+            s = acc.get(e, 0) + w * c
+            if s:
+                acc[e] = s
+            else:
+                acc.pop(e, None)
     return acc
 
 
@@ -256,10 +284,7 @@ def deflate_higher_order(
         B = np.eye(n, dtype=complex)
         if jac_report.rank < n - 1:
             B = unit_modulus(rng, (n, jac_report.rank + 1))
-            rows = [
-                [_weighted_sum(Polynomial.zero(n), col, row) for col in B.T]
-                for row in rows
-            ]
+            rows = [[_weighted_sum(col, row) for col in B.T] for row in rows]
         # multiplied even when B = I: J0 @ I can differ from J0 in the sign
         # of zero entries, and the multiplier estimate is solved from it
         A0, m = J0 @ B, 1
@@ -272,14 +297,19 @@ def deflate_higher_order(
             )
     k = A0.shape[1]
     total = n + k
-    lam = [Polynomial.variable(total, n + c) for c in range(k)]
-    polys = [p.embed(total) for p in F.polys]
-    for row in rows:
-        polys.append(
-            _weighted_sum(Polynomial.zero(total), lam, [e.embed(total) for e in row])
-        )
+    # rows as term maps over x and lambda: F's equations padded, then each
+    # row with lambda_c's exponent appended to the terms of its entry c;
+    # the lambda_c are distinct variables, so no two terms share an exponent
+    pad = (0,) * k
+    lam = [pad[:c] + (1,) + pad[c + 1:] for c in range(k)]
+    polys = [{e + pad: c for e, c in f.items()} for f in F.polys]
+    polys += ({e + l: c for l, p in zip(lam, row) for e, c in p.items()} for row in rows)
     b = unit_modulus(rng, (m, k))
-    polys.extend(_weighted_sum(Polynomial.constant(total, -1), w, lam) for w in b)
+    polys += (
+        {(0,) * total: -1 + 0j} | {(0,) * n + l: complex(c) for l, c in zip(lam, w)}
+        for w in b
+    )
+    polys = [Polynomial._trusted(total, t) for t in polys]
 
     stacked = np.vstack([A0, b])
     rhs = np.zeros(stacked.shape[0], dtype=complex)
@@ -306,7 +336,7 @@ def deflate_with_operator(F: PolySystem, Q: DeflationOperator) -> AugmentedSyste
     A = deflation_matrix(F, d)
     weights = [Q.terms.get(beta, 0) for beta in A.col_labels]
     polys = F.polys + tuple(
-        _weighted_sum(Polynomial.zero(F.nvars), weights, row) for row in A.entries
+        Polynomial._trusted(F.nvars, _weighted_sum(weights, row)) for row in A.entries
     )
     return AugmentedSystem(
         PolySystem(F.nvars, polys, F.var_names), d, np.zeros(0, dtype=complex)

@@ -84,9 +84,9 @@ class Polynomial:
     def _trusted(cls, nvars: int, terms: dict[Exponent, complex]) -> "Polynomial":
         """Build from complex coefficients keyed by valid exponent tuples.
 
-        For arithmetic results only: skips the exponent checks of __init__
-        but drops zeros and adds to 0 as it does, which turns a -0.0 part
-        into +0.0, so both constructors store the same bits.
+        For term maps the package builds itself: skips the exponent checks
+        of __init__ but drops zeros and adds to 0 as it does, which turns a
+        -0.0 part into +0.0, so both constructors store the same bits.
         """
         out = object.__new__(cls)
         object.__setattr__(out, "nvars", nvars)
@@ -98,10 +98,6 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, nvars: int) -> "Polynomial":
-        return cls(nvars, {})
 
     @classmethod
     def constant(cls, nvars: int, c: complex) -> "Polynomial":
@@ -193,45 +189,7 @@ class Polynomial:
             k >>= 1
         return out
 
-    # -- calculus ----------------------------------------------------------
-
-    def diff(self, beta: Exponent) -> "Polynomial":
-        """Mixed partial derivative d^beta (unscaled)."""
-        beta = tuple(int(b) for b in beta)
-        if len(beta) != self.nvars:
-            raise DimensionMismatchError(
-                f"derivative index has length {len(beta)}, expected {self.nvars}"
-            )
-        if min(beta, default=0) < 0:
-            raise ValueError(f"negative entry in derivative index {beta}")
-        support = [(i, b) for i, b in enumerate(beta) if b]
-        out: dict[Exponent, complex] = {}
-        for alpha, c in self._terms.items():
-            if any(alpha[i] < b for i, b in support):
-                continue
-            # Leibniz on a monomial: factor alpha!/(alpha-beta)!
-            rem, fac = list(alpha), 1
-            for i, b in support:
-                rem[i] -= b
-                for k in range(rem[i] + 1, alpha[i] + 1):
-                    fac *= k
-            key = tuple(rem)
-            out[key] = out.get(key, 0) + c * fac
-        return Polynomial._trusted(self.nvars, out)
-
-    def monomial_multiply(self, alpha: Exponent) -> "Polynomial":
-        """Multiply by the monomial x^alpha (exponent shift)."""
-        alpha = tuple(int(s) for s in alpha)
-        if len(alpha) != self.nvars:
-            raise DimensionMismatchError(
-                f"shift exponent has length {len(alpha)}, expected {self.nvars}"
-            )
-        if min(alpha, default=0) < 0:
-            raise ValueError(f"negative entry in shift exponent {alpha}")
-        terms = {
-            tuple(a + s for a, s in zip(e, alpha)): c for e, c in self._terms.items()
-        }
-        return Polynomial._trusted(self.nvars, terms)
+    # -- translation -------------------------------------------------------
 
     def shift(self, basepoint: Sequence[complex]) -> "Polynomial":
         """Return q(y) = p(y + basepoint).
@@ -258,16 +216,6 @@ class Polynomial:
                 key = tuple(k for k, _ in picks)
                 out[key] = out.get(key, 0) + coef
         return Polynomial._trusted(self.nvars, out)
-
-    def embed(self, nvars: int, offset: int = 0) -> "Polynomial":
-        """View in a larger variable set, variable i becoming i + offset."""
-        if offset < 0 or offset + self.nvars > nvars:
-            raise DimensionMismatchError("embedding does not fit target variable count")
-        pad_front = (0,) * offset
-        pad_back = (0,) * (nvars - offset - self.nvars)
-        return Polynomial._trusted(
-            nvars, {pad_front + a + pad_back: c for a, c in self._terms.items()}
-        )
 
     # -- formatting --------------------------------------------------------
 

@@ -92,6 +92,12 @@ def monomial_multiply(
     }
 
 
+def embed(p: Polynomial, nvars: int) -> Polynomial:
+    """p over its own variables followed by nvars - p.nvars new ones."""
+    pad = (0,) * (nvars - p.nvars)
+    return Polynomial(nvars, {a + pad: c for a, c in p.items()})
+
+
 def terms_to_sympy(terms: Mapping[tuple, complex], syms) -> sympy.Expr:
     expr = sympy.Integer(0)
     for alpha, c in terms.items():
@@ -167,7 +173,7 @@ def compose(p: Polynomial, subs: Sequence[Polynomial]) -> Polynomial:
     """Substitute subs[i] for variable i; all subs share a variable count."""
     assert len(subs) == p.nvars
     m = subs[0].nvars
-    out = Polynomial.zero(m)
+    out = Polynomial(m)
     for alpha, c in p.items():
         term = Polynomial.constant(m, c)
         for s, a in zip(subs, alpha):
@@ -487,16 +493,19 @@ def staircase_count(generators: Sequence[tuple], nvars: int) -> int:
 # Function bodies copied unchanged, apart from the ``old_`` names,
 # ``OldAugmentedSystem`` (which keeps the ``drawn`` field), the dropped
 # ``stage`` number, ``apply_operator`` standing in for the removed
-# ``DeflationOperator.apply``, and ``diff_once`` and ``max_coeff_magnitude``
+# ``DeflationOperator.apply``, ``diff_once`` and ``max_coeff_magnitude``
 # standing in for the removed ``PolySystem.jacobian`` and
-# ``Polynomial.max_coeff_magnitude``.
+# ``Polynomial.max_coeff_magnitude``, and ``brute_derivative``,
+# ``monomial_multiply``, ``embed`` and ``Polynomial(n)`` standing in for the
+# removed ``Polynomial.diff``, ``monomial_multiply``, ``embed`` and ``zero``,
+# storing the same bits.
 
 
 def apply_operator(Q, p: Polynomial) -> Polynomial:
     """sum_beta lambda_beta d^beta p, term by term of the operator."""
-    out = Polynomial.zero(p.nvars)
+    out = Polynomial(p.nvars)
     for beta, lam in Q.terms.items():
-        out = out + lam * p.diff(beta)
+        out = out + lam * Polynomial(p.nvars, brute_derivative(p.terms, beta))
     return out
 
 
@@ -525,8 +534,10 @@ def old_deflation_matrix(F: PolySystem, d: int) -> SymbolicMatrix:
     for alpha in _row_exponents(n, d):
         for j, f in enumerate(F.polys):
             rows.append((alpha, j))
-            shifted = f.monomial_multiply(alpha)
-            entries.append(tuple(shifted.diff(beta) for beta in cols))
+            shifted = monomial_multiply(f.terms, alpha)
+            entries.append(
+                tuple(Polynomial(n, brute_derivative(shifted, beta)) for beta in cols)
+            )
     assert len(rows) == F.nequations * comb(n + d - 1, n)
     assert len(cols) == comb(n + d, n) - 1
     return SymbolicMatrix(tuple(rows), tuple(cols), tuple(entries))
@@ -549,8 +560,10 @@ def old_truncated_deflation_matrix(
     for alpha in alphas:
         for j, f in enumerate(F.polys):
             row_labels.append((alpha, j))
-            shifted = f.monomial_multiply(alpha)
-            entries.append(tuple(shifted.diff(beta) for beta in cols))
+            shifted = monomial_multiply(f.terms, alpha)
+            entries.append(
+                tuple(Polynomial(n, brute_derivative(shifted, beta)) for beta in cols)
+            )
     return SymbolicMatrix(tuple(row_labels), cols, tuple(entries))
 
 
@@ -575,7 +588,7 @@ def old_deflate_first_order(F, x0, tol_rank=1e-8, rng=None):
         for m in range(k):
             col = []
             for i in range(N):
-                acc = Polynomial.zero(n)
+                acc = Polynomial(n)
                 for j in range(n):
                     acc = acc + B[j, m] * jac[i][j]
                 col.append(acc)
@@ -583,12 +596,12 @@ def old_deflate_first_order(F, x0, tol_rank=1e-8, rng=None):
     b = unit_modulus(rng, k)
 
     total = n + k
-    polys = [p.embed(total) for p in F.polys]
+    polys = [embed(p, total) for p in F.polys]
     for i in range(N):
-        g = Polynomial.zero(total)
+        g = Polynomial(total)
         for m in range(k):
             lam = Polynomial.variable(total, n + m)
-            g = g + lam * columns[m][i].embed(total)
+            g = g + lam * embed(columns[m][i], total)
         polys.append(g)
     h = Polynomial.constant(total, -1)
     for m in range(k):
@@ -637,11 +650,11 @@ def old_deflate_higher_order(F, d, x0, tol_rank=1e-8, rng=None):
         )
     k = len(A.col_labels)
     total = n + k
-    polys = [p.embed(total) for p in F.polys]
+    polys = [embed(p, total) for p in F.polys]
     for row in A.entries:
-        g = Polynomial.zero(total)
+        g = Polynomial(total)
         for c, entry in enumerate(row):
-            g = g + Polynomial.variable(total, n + c) * entry.embed(total)
+            g = g + Polynomial.variable(total, n + c) * embed(entry, total)
         polys.append(g)
     b = unit_modulus(rng, (m, k))
     for kk in range(m):
@@ -677,7 +690,8 @@ def old_deflate_with_operator(F, Q, d):
     polys = list(F.polys)
     for alpha in MonomialFrame.build(F.nvars, d - 1).exponents:
         for f in F.polys:
-            polys.append(apply_operator(Q, f.monomial_multiply(alpha)))
+            shifted = Polynomial(F.nvars, monomial_multiply(f.terms, alpha))
+            polys.append(apply_operator(Q, shifted))
     system = PolySystem(F.nvars, tuple(polys), F.var_names)
     return OldAugmentedSystem(
         system=system,

@@ -1,9 +1,14 @@
 """Command-line interface: exit codes, report contents, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dualdeflate
 from dualdeflate import DriverConfig, cli, parse_system, solver
 from dualdeflate.cli import (
     EXIT_NUMERICAL,
@@ -273,6 +278,40 @@ def test_matrix(files, capsys):
     assert len(report["entries"]) == 9
     assert all(len(row) == 5 for row in report["entries"])
     assert report["row_labels"][0] == [[0, 0], 0]
+
+
+def test_matrix_takes_no_rank_tolerance(files, capsys):
+    # no decision of the symbolic dump reads a tolerance
+    system = files("s.txt", EX2_TEXT)
+    code, report = run_json(capsys, ["matrix", system, "--order", "1"])
+    assert code == EXIT_OK
+    assert "tolerances" not in report
+    with pytest.raises(SystemExit) as exc:
+        main(["matrix", system, "--order", "1", "--tol-rank", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol-rank 5" in capsys.readouterr().err
+
+
+def test_closed_pipe_exits_quietly(files):
+    # the read end is closed before the child starts, so its first write to
+    # stdout fails with EPIPE whatever the scheduling
+    src = str(Path(dualdeflate.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["matrix", files("s.txt", EX2_TEXT), "--order", "2", "--format", "json"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "dualdeflate.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.stderr == b""
+    assert done.returncode == EXIT_OK
 
 
 def test_matrix_truncated(files, capsys):

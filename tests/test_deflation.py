@@ -22,7 +22,7 @@ from dualdeflate import (
     parse_system,
     predict_order,
 )
-from dualdeflate.deflate import unit_modulus
+from dualdeflate.deflate import _weighted_sum, unit_modulus
 from dualdeflate.errors import (
     AlreadyRegularError,
     DimensionMismatchError,
@@ -71,16 +71,26 @@ def test_deflation_matrix_entries_match_oracle(entry, d):
             assert e.terms == pytest.approx(_entry_oracle(F.polys[j], alpha, beta))
 
 
+STAIR_XYZ = next(e for e in CORPUS if e.name == "stair-x2-y2-z2")
+
+
 def test_deflation_matrix_entries_match_sympy():
-    F = A2_EXAMPLE.system
-    syms = sympy.symbols("x1 x2")
-    A = deflation_matrix(F, 2)
-    for (alpha, j), row in zip(A.row_labels, A.entries):
-        base = terms_to_sympy(F.polys[j].terms, syms) * syms[0] ** alpha[0] * syms[1] ** alpha[1]
-        for beta, e in zip(A.col_labels, row):
-            expected = sympy_mixed_derivative(base, syms, beta)
-            got = terms_to_sympy(e.terms, syms)
-            assert sympy.simplify(expected - got) == 0
+    for entry, d, variant in (
+        (A2_EXAMPLE, 2, {}),
+        (A2_EXAMPLE, 2, {"top": True}),
+        (A2_EXAMPLE, 2, {"multiples": False}),
+        (STAIR_XYZ, 3, {}),
+    ):
+        F = entry.system
+        syms = sympy.symbols(F.var_names)
+        A = deflation_matrix(F, d, **variant)
+        for (alpha, j), row in zip(A.row_labels, A.entries):
+            shift = sympy.Mul(*(s**a for s, a in zip(syms, alpha)))
+            base = terms_to_sympy(F.polys[j].terms, syms) * shift
+            for beta, e in zip(A.col_labels, row):
+                expected = sympy_mixed_derivative(base, syms, beta)
+                got = terms_to_sympy(e.terms, syms)
+                assert sympy.expand(expected - got) == 0, (entry.name, d, variant)
 
 
 def test_order_one_matrix_is_the_jacobian():
@@ -328,7 +338,7 @@ def test_first_order_structure_and_root_preservation():
         assert aug.system.nequations == 2 * N + 1
         # original equations are embedded unchanged
         for i, f in enumerate(F.polys):
-            assert aug.system.polys[i] == f.embed(n + k)
+            assert aug.system.polys[i] == oracles.embed(f, n + k)
         # the extended point is still a root
         z = aug.extend_point(entry.root)
         assert aug.system.residual(z) < 1e-10
@@ -494,6 +504,33 @@ def test_builder_matches_separate_constructions(entry):
     for d in (1, 2):
         for seed in range(3):
             _assert_builder_matches(aug.system, aug.extend_point(root), 1e-8, d, seed)
+
+
+def _weighted_terms(n):
+    """(weight, polynomial) pairs in n variables, small enough to cancel."""
+    ints = st.builds(complex, st.integers(-2, 2), st.integers(-2, 2))
+    floats = st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False)
+    weights = ints | floats
+    exponents = st.tuples(*[st.integers(0, 2)] * n)
+    polys = st.dictionaries(exponents, ints, max_size=4).map(lambda t: Polynomial(n, t))
+    return st.lists(st.tuples(weights, polys), min_size=1, max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 2).flatmap(_weighted_terms))
+@example([  # x cancels, then comes back after y
+    (1, Polynomial(2, {(1, 0): 1, (0, 1): 1})),
+    (-1, Polynomial(2, {(1, 0): 1})),
+    (1, Polynomial(2, {(1, 0): 1})),
+])
+def test_weighted_sum_stores_the_bits_of_polynomial_arithmetic(pairs):
+    # the same sums, term order and dropped cancellations as acc + w * p
+    n = pairs[0][1].nvars
+    expected = Polynomial(n)
+    for w, p in pairs:
+        expected = expected + w * p
+    got = _weighted_sum([w for w, _ in pairs], [p for _, p in pairs])
+    assert repr(Polynomial._trusted(n, got)) == repr(expected)
 
 
 def test_first_order_is_the_order_one_builder():

@@ -77,7 +77,7 @@ def test_deflated_system_matches_reference(entry):
 
 
 def test_zero_rows_and_constant_rows():
-    F = PolySystem(2, (Polynomial.zero(2), Polynomial.constant(2, 2 - 1j)))
+    F = PolySystem(2, (Polynomial(2), Polynomial.constant(2, 2 - 1j)))
     x = np.array([0.5 + 1j, -2.0])
     assert_matches_reference(F, x)
     assert same_bits(F.evaluate(x), [0, 2 - 1j])
@@ -139,6 +139,5 @@ def test_random_sparse_system_matches_reference(case):
 def test_arithmetic_results_store_the_bits_of_the_public_constructor(pair):
     # the trusted constructor of arithmetic results normalises like __init__
     p, q = pair
-    results = (p + q, p - q, -p, p * q, (1 - 2j) * p, diff_once(p, 0))
-    for r in results + (p.embed(p.nvars + 1, 1), p.monomial_multiply((1,) * p.nvars)):
+    for r in (p + q, p - q, -p, p * q, (1 - 2j) * p, diff_once(p, 0)):
         assert repr(r) == repr(Polynomial(r.nvars, r.terms))
