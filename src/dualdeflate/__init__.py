@@ -29,7 +29,6 @@ from .deflate import (
 from .solver import (
     DriverConfig,
     DriverResult,
-    NewtonOptions,
     NewtonTrace,
     deflation_driver,
     gauss_newton,
@@ -61,7 +60,6 @@ __all__ = [
     "predict_order",
     "DriverConfig",
     "DriverResult",
-    "NewtonOptions",
     "NewtonTrace",
     "deflation_driver",
     "gauss_newton",

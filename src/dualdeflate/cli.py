@@ -55,9 +55,11 @@ def _common_flags(p: argparse.ArgumentParser, point: bool = True):
 
 
 def _order(text: str):
-    """The --order value: auto, first, or an integer."""
-    if text in ("auto", "first"):
+    """The --order value: auto, first (order 1), or an integer."""
+    if text == "auto":
         return text
+    if text == "first":
+        return 1
     try:
         return int(text)
     except ValueError:
@@ -87,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (deflate, solve):
         _common_flags(p)
         p.add_argument(
-            "--order", type=_order, default="auto", help="auto, first, or an integer"
+            "--order", type=_order, default="auto",
+            help="auto, first (order 1), or an integer",
         )
         p.add_argument("--tol-coeff", type=float, default=DEFAULT_COEFF_TOL)
         p.add_argument("--seed", type=int, default=DriverConfig.seed)

@@ -143,7 +143,7 @@ class _CoefficientRows:
                 f"residual {residual:.3e} at the given point exceeds "
                 f"tolerance {tol:.1e}"
             )
-        shifted = [p.shift(x0) for p in F.polys]
+        shifted = [p.shift(x0, max_d) for p in F.polys]
         # terms above max_d are never read: no frame the loop builds holds them
         items = [(j, e, c) for j, p in enumerate(shifted) for e, c in p.items()]
         items = [t for t in items if sum(t[1]) <= max_d]

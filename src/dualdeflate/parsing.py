@@ -205,7 +205,13 @@ def parse_system(text: str) -> PolySystem:
     polys: list[Polynomial] = []
     while parser.peek().kind != "eof":
         start = parser.peek()
-        p = parser.expr()
+        try:
+            p = parser.expr()
+        except RecursionError:
+            # the parser recurses once per parenthesis or unary minus
+            raise ParseError(
+                "statement is nested too deeply", start.line, start.col
+            ) from None
         parser.expect(";")
         if not all(cmath.isfinite(c) for _, c in p.items()):
             raise ParseError(

@@ -191,12 +191,15 @@ class Polynomial:
 
     # -- translation -------------------------------------------------------
 
-    def shift(self, basepoint: Sequence[complex]) -> "Polynomial":
-        """Return q(y) = p(y + basepoint).
+    def shift(
+        self, basepoint: Sequence[complex], max_degree: int | None = None
+    ) -> "Polynomial":
+        """Return q(y) = p(y + basepoint), or with ``max_degree`` the part of q
+        whose exponents are all at most ``max_degree``.
 
         Each term c x^alpha expands binomially into c prod_i sum_k
-        C(alpha_i, k) v_i^(alpha_i - k) y_i^k, and the expansions of all
-        terms are collected into one coefficient map.
+        C(alpha_i, k) v_i^(alpha_i - k) y_i^k, k <= max_degree, and the
+        expansions of all terms are collected into one coefficient map.
         """
         v = _as_vector(basepoint, self.nvars, "basepoint").tolist()
         rows: dict[tuple[int, int], list[tuple[int, complex]]] = {}
@@ -204,9 +207,10 @@ class Polynomial:
         for alpha, c in self._terms.items():
             for i, a in enumerate(alpha):
                 if (i, a) not in rows:
+                    top = a if max_degree is None else min(a, max_degree)
                     rows[i, a] = [
                         (k, w)
-                        for k in range(a + 1)
+                        for k in range(top + 1)
                         if (w := math.comb(a, k) * v[i] ** (a - k)) != 0
                     ]
             for picks in product(*(rows[i, a] for i, a in enumerate(alpha))):

@@ -33,19 +33,6 @@ from .poly import PolySystem, _as_vector
 
 
 @dataclass(frozen=True)
-class NewtonOptions:
-    """Settings for the least-squares Newton iteration (see gauss_newton)."""
-
-    tol_step: float = 1e-14
-    max_iters: int = 60
-
-    def __post_init__(self):
-        _check_unit_interval(tol_step=self.tol_step)
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-
-
-@dataclass(frozen=True)
 class NewtonTrace:
     iterates: tuple[np.ndarray, ...]
     residual_norms: tuple[float, ...]
@@ -58,22 +45,26 @@ class NewtonTrace:
 
 
 def gauss_newton(
-    F: PolySystem, x0: Sequence[complex], opts: NewtonOptions = NewtonOptions()
+    F: PolySystem, x0: Sequence[complex], tol_step: float = 1e-14, max_iters: int = 60
 ) -> NewtonTrace:
-    """Least-squares Newton iteration x += argmin ||J dx + F(x)||.
+    """Least-squares Newton iteration x += argmin ||J dx + F(x)||, at most
+    ``max_iters`` steps.
 
     Convergence is judged by the step size only. Near a multiple root the
     residual of a degree-k equation scales like the k-th power of the
     distance to the root, so any residual threshold is met long before the
     point itself is accurate; the step size has no such blind spot.
     """
+    _check_unit_interval(tol_step=tol_step)
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     x = _as_vector(x0, F.nvars).copy()
     r = F.evaluate(x)
     iterates = [x.copy()]
     residuals = [float(np.linalg.norm(r))]
     steps = [0.0]
     converged = False
-    for _ in range(opts.max_iters):
+    for _ in range(max_iters):
         # r = F(x), kept from the accepted trial: each point is evaluated once
         J = F.jacobian_at(x)
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(J))):
@@ -83,7 +74,7 @@ def gauss_newton(
             converged = True
             break
         dx = least_squares(J, -r)
-        threshold = opts.tol_step * max(1.0, float(np.linalg.norm(x)))
+        threshold = tol_step * max(1.0, float(np.linalg.norm(x)))
         if float(np.linalg.norm(dx)) <= threshold:
             # a vanishing correction is convergence regardless of whether it
             # nudges the residual
@@ -112,7 +103,7 @@ def gauss_newton(
         iterates.append(x.copy())
         residuals.append(trial_norm)
         steps.append(float(np.linalg.norm(scale * dx)))
-        if steps[-1] <= opts.tol_step * max(1.0, float(np.linalg.norm(x))):
+        if steps[-1] <= tol_step * max(1.0, float(np.linalg.norm(x))):
             converged = True
             break
     return NewtonTrace(tuple(iterates), tuple(residuals), tuple(steps), converged)
@@ -153,18 +144,18 @@ ROOT_TOL = 1e-4
 
 @dataclass(frozen=True)
 class DriverConfig:
-    order_policy: str | int = "auto"  # "auto", "first", or a fixed integer order
+    order_policy: str | int = "auto"  # "auto", or a fixed order k >= 1
     tol_rank: float = DEFAULT_RANK_TOL
     tol_coeff: float = DEFAULT_COEFF_TOL
     max_stages: int = 10
     seed: int = 0
 
     def __post_init__(self):
-        if type(self.order_policy) is int:  # a bool is not an order
+        if self.order_policy != "auto":
+            if type(self.order_policy) is not int:  # a bool is not an order
+                raise ValueError(f"unknown order policy {self.order_policy!r}")
             if self.order_policy < 1:
                 raise ValueError("fixed deflation order must be >= 1")
-        elif self.order_policy not in ("auto", "first"):
-            raise ValueError(f"unknown order policy {self.order_policy!r}")
         _check_unit_interval(tol_rank=self.tol_rank, tol_coeff=self.tol_coeff)
         if self.max_stages < 0:
             raise ValueError(f"max_stages must be >= 0, got {self.max_stages}")
@@ -205,11 +196,12 @@ def deflation_driver(
     """Deflate until the root is regular, refining with Gauss-Newton throughout.
 
     Each stage refines the current point, checks regularity, and if singular
-    appends one deflation (order chosen by the configured policy) and extends
-    the point with the least-squares multiplier estimate. When a stage fails
-    to reduce the corank the order is escalated by one instead of aborting;
-    an order the builder rejects as too low is retried one higher at the same
-    point and tolerance, and the fourth rejection in a run ends it.
+    appends one deflation and extends the point with the least-squares
+    multiplier estimate. A fixed order is used at every stage; under "auto"
+    the order is predicted, and raised by one for the rest of the run after
+    each stage whose corank grew and each rejection. An order the builder
+    rejects as too low is retried one higher at the same point and tolerance,
+    and the fourth rejection in a run ends it.
     """
     x = _as_vector(x0, F.nvars)
     residual = F.residual(x)
@@ -234,19 +226,15 @@ def deflation_driver(
         ranks.append(report)
         if regular or len(stages) >= config.max_stages:
             break
-        # Corank counts are only comparable within the growing tower loosely:
-        # a strict increase signals a failed stage and escalates the order.
-        if (
-            prev_corank is not None
-            and report.corank > prev_corank
-            and config.order_policy != "first"
-        ):
-            escalate += 1
-        prev_corank = report.corank
-
-        d = _choose_order(current, point, config, rng, tol_eff)
-        if config.order_policy != "first":
-            d += escalate
+        if config.order_policy == "auto":
+            # Corank counts are only comparable within the growing tower
+            # loosely: a strict increase signals a failed stage.
+            if prev_corank is not None and report.corank > prev_corank:
+                escalate += 1
+            prev_corank = report.corank
+            d = _predicted_order(current, point, config, rng, tol_eff) + escalate
+        else:
+            d = config.order_policy
         while rejections < 4:
             try:
                 if d <= 1:
@@ -267,17 +255,11 @@ def deflation_driver(
     return DriverResult(tuple(stages), tuple(ranks), tuple(traces), current)
 
 
-def _choose_order(
+def _predicted_order(
     system: PolySystem, point: np.ndarray, config: DriverConfig, rng, tol_rank: float
 ) -> int:
-    if config.order_policy == "first":
-        return 1
-    if isinstance(config.order_policy, int):
-        return config.order_policy
     try:
-        return predict_order(
-            system, point, tol_rank, config.tol_coeff, rng
-        ).d
+        return predict_order(system, point, tol_rank, config.tol_coeff, rng).d
     except (InconclusivePredictionError, AlreadyRegularError):
         warnings.warn(
             "order prediction inconclusive; falling back to first-order deflation",

@@ -14,7 +14,6 @@ from dualdeflate import (
     DriverConfig,
     MonomialFrame,
     MonomialOrder,
-    NewtonOptions,
     Polynomial,
     deflate_first_order,
     deflate_higher_order,
@@ -172,7 +171,7 @@ def test_criterion_4_first_order_workflow():
         assert numerical_rank(F.jacobian_at([0.0, 0.0]), scale=F.jacobian_scale()).rank == 0
 
         first = deflation_driver(
-            F, [0.0, 0.0], DriverConfig(order_policy="first", seed=1)
+            F, [0.0, 0.0], DriverConfig(order_policy=1, seed=1)
         )
         assert first.final_regular
         assert first.stage_count == 2
@@ -326,7 +325,7 @@ def test_criterion_8_convergence_rates():
             found_linear_tail = False
             for offset in (1e-3, 1e-2):
                 trace = gauss_newton(
-                    F, root + offset * direction, NewtonOptions(max_iters=60)
+                    F, root + offset * direction, max_iters=60
                 )
                 steps = [s for s in trace.step_norms[1:] if s > 1e-9]
                 ratios = [b / a for a, b in zip(steps, steps[1:])]
@@ -343,13 +342,13 @@ def test_criterion_8_convergence_rates():
             # deflated system: error vs a high-accuracy reference is quadratic
             G, extended = deflated_regular_system(entry)
             ref = gauss_newton(
-                G, extended, NewtonOptions(tol_step=1e-15, max_iters=80)
+                G, extended, tol_step=1e-15, max_iters=80
             ).final
 
             m = G.nvars
             dirz = rng.standard_normal(m) + 1j * rng.standard_normal(m)
             dirz /= np.linalg.norm(dirz)
-            trace = gauss_newton(G, ref + 1e-3 * dirz, NewtonOptions(max_iters=30))
+            trace = gauss_newton(G, ref + 1e-3 * dirz, max_iters=30)
             errors = [float(np.linalg.norm(z - ref)) for z in trace.iterates]
             assert min(errors) < 1e-12, entry.name
             pairs = [

@@ -116,6 +116,18 @@ def test_deflate_near_the_root_is_the_first_solve_stage(files, capsys):
     assert solved["stages"][0] == {k: report[k] for k in solved["stages"][0]}
 
 
+@pytest.mark.parametrize("command", ["deflate", "solve"])
+def test_order_first_is_order_one(files, capsys, command):
+    inputs = [files("s.txt", EX2_TEXT), files("p.txt", NEAR_EX2)]
+    reports = []
+    for order in ("first", "1"):
+        code, report = run_json(capsys, [command, *inputs, "--order", order])
+        assert code == EXIT_OK
+        del report["timings"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
 def test_deflate_without_a_stage_exit_code(files, capsys, monkeypatch):
     # a regular root: the driver builds no stage
     regular = [files("s.txt", "vars: x y\nx;\ny;\n"), files("p.txt", "x = 0\ny = 0\n")]
@@ -379,6 +391,18 @@ def test_exponent_beyond_int64_exit_code(files, capsys, command):
     system = files("s.txt", "vars: x\nx^99999999999999999999;\n")
     assert main([command, system, files("p.txt", "x = 0\n")]) == EXIT_PARSE
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["dz", "st"])
+def test_multiplicity_at_a_root_of_a_high_degree_equation(files, capsys, method):
+    # the binomial coefficients of x^2000 at x = 1 pass the float range
+    system = files("s.txt", "vars: x\nx^2000 - 1;\n")
+    code, report = run_json(
+        capsys, ["multiplicity", system, files("p.txt", "x = 1\n"), "--method", method]
+    )
+    assert code == EXIT_OK
+    assert report["multiplicity"] == 1
+
 
 def test_missing_file_exit_code(tmp_path, capsys):
     code = main(

@@ -104,6 +104,31 @@ def test_largest_int64_exponent_accepted():
     F = parse_system("vars: x\nx^4611686018427387904*x^4611686018427387903;")
     assert F.polys[0].terms == {(2**63 - 1,): 1}
 
+
+def _horner(degree: int) -> str:
+    """(...((x)*x + 1)*x + 1...)*x + 1, of the given degree in x."""
+    text = "x"
+    for _ in range(degree - 1):
+        text = f"({text})*x + 1"
+    return text
+
+
+def test_horner_form_parses():
+    F = parse_system(f"vars: x\n{_horner(200)};")
+    assert F.polys[0] == Polynomial(1, {(k,): 1 for k in range(201) if k != 199})
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [_horner(300), "(" * 3000 + "x" + ")" * 3000, "-" * 3000 + "x"],
+    ids=["horner-300", "parentheses-3000", "minus-3000"],
+)
+def test_deeply_nested_statement_is_a_parse_error(statement):
+    with pytest.raises(ParseError, match="nested too deeply") as exc:
+        parse_system(f"vars: x\nx;\n{statement};")
+    assert exc.value.line == 3
+
+
 def test_parse_error_carries_location():
     with pytest.raises(ParseError) as exc:
         parse_system("vars: x\nx;\nx + $;")

@@ -1,13 +1,13 @@
 """Gauss-Newton refinement and the deflate-until-regular driver."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
 from dualdeflate import (
     DriverConfig,
-    NewtonOptions,
     PolySystem,
     deflation_driver,
     gauss_newton,
@@ -21,10 +21,12 @@ from corpus import CORPUS, EX2, SEC61
 
 
 def test_newton_options_validation():
-    with pytest.raises(ValueError):
-        NewtonOptions(tol_step=0.0)
-    with pytest.raises(ValueError):
-        NewtonOptions(max_iters=0)
+    F = parse_system("vars: x\nx - 1;")
+    for options in (
+        {"tol_step": 0.0}, {"tol_step": 1.0}, {"tol_step": float("nan")}, {"max_iters": 0}
+    ):
+        with pytest.raises(ValueError):
+            gauss_newton(F, [0.9], **options)
     with pytest.raises(ValueError):
         DriverConfig(order_policy="sometimes")
     with pytest.raises(ValueError):
@@ -35,7 +37,7 @@ def test_newton_options_validation():
     "setting",
     [
         {"tol_rank": -1.0}, {"tol_rank": 1.0}, {"tol_coeff": -1.0}, {"tol_coeff": 0.0},
-        {"max_stages": -1}, {"order_policy": True},
+        {"max_stages": -1}, {"order_policy": True}, {"order_policy": "first"},
     ],
     ids=str,
 )
@@ -50,8 +52,8 @@ def test_settings_are_the_ones_callers_set():
     assert [f.name for f in dataclasses.fields(DriverConfig)] == [
         "order_policy", "tol_rank", "tol_coeff", "max_stages", "seed",
     ]
-    assert [f.name for f in dataclasses.fields(NewtonOptions)] == [
-        "tol_step", "max_iters",
+    assert list(inspect.signature(gauss_newton).parameters) == [
+        "F", "x0", "tol_step", "max_iters",
     ]
 
 
@@ -66,7 +68,7 @@ def test_newton_regular_root_quadratic():
 
 def test_newton_double_root_linear_rate():
     F = parse_system("vars: x\nx^2;")
-    trace = gauss_newton(F, [1e-3], NewtonOptions(max_iters=20))
+    trace = gauss_newton(F, [1e-3], max_iters=20)
     assert not trace.converged  # the step still exceeds tol_step after 20 halvings
     ratios = [
         b / a for a, b in zip(trace.step_norms[1:-1], trace.step_norms[2:])
@@ -78,7 +80,7 @@ def test_newton_double_root_linear_rate():
 def test_newton_does_not_stop_on_tiny_residual_far_from_root():
     # residual of cubics at distance 1e-4 is ~1e-12; iteration must continue
     F = SEC61.system
-    trace = gauss_newton(F, [1e-4, -1e-4], NewtonOptions(max_iters=30))
+    trace = gauss_newton(F, [1e-4, -1e-4], max_iters=30)
     assert len(trace.iterates) > 5
     assert abs(trace.final[0]) < 1e-5
 
@@ -93,7 +95,7 @@ def test_newton_evaluates_each_point_once(monkeypatch):
         return evaluate(self, pt)
 
     monkeypatch.setattr(PolySystem, "evaluate", recording)
-    trace = gauss_newton(SEC61.system, [1e-3, -2e-3], NewtonOptions(max_iters=30))
+    trace = gauss_newton(SEC61.system, [1e-3, -2e-3], max_iters=30)
     assert len(trace.iterates) > 5
     assert len(seen) == len(set(seen))
 
@@ -190,18 +192,51 @@ def test_driver_fixed_order_policy():
     assert result.stages[0].order == 2
 
 
+# <x^3, y^3, z^2> moved to (-1, 1, -1) and mixed: the bench staircase
+# stair-x1^3-x2^3-x3^2, whose corank goes from 3 to 4 after one order-2 stage
+STAIR_332 = (
+    "vars: x1 x2 x3\n"
+    "x1^3 + 3*x1^2*x2 + 3*x1*x2^2 + x2^3;\n"
+    "-2*x1^3 - 3*x1^2*x2 - 3*x1*x2^2 - x2^3 - 3*x1^2 - 3*x1 - 1;\n"
+    "x1^3 + 3*x1^2*x2 + 3*x1*x2^2 + x2^3 + x2^2 + 2*x2*x3 + x3^2;\n"
+)
+
+
+def test_fixed_order_is_not_raised_after_a_corank_increase(monkeypatch):
+    orders = []
+    build = solver.deflate_higher_order
+
+    def order_two_only(F, d, x0, tol, rng):
+        orders.append(d)
+        if d != 2:
+            raise AssertionError(f"order {d} asked for under order_policy=2")
+        return build(F, d, x0, tol, rng)
+
+    monkeypatch.setattr(solver, "deflate_higher_order", order_two_only)
+    root = np.array([-1.0, 1.0, -1.0])
+    result = deflation_driver(
+        parse_system(STAIR_332),
+        root + 1e-6 * (1 + 1j) / np.sqrt(2),
+        DriverConfig(order_policy=2, seed=12, max_stages=2),
+    )
+    assert orders == [2, 2]
+    assert [r.corank for r in result.per_stage_rank] == [3, 4, 0]
+    assert result.final_regular
+    assert np.linalg.norm(result.refined_point - root) < 1e-8
+
+
 def test_driver_stage_cap_reported_as_failure():
     # force a cap below what the root needs: two first-order stages required
     result = deflation_driver(
         SEC61.system,
         [0.0, 0.0],
-        DriverConfig(order_policy="first", seed=1, max_stages=1),
+        DriverConfig(order_policy=1, seed=1, max_stages=1),
     )
     assert not result.final_regular
     assert result.stage_count == 1
     assert result.per_stage_rank[-1].corank > 0
     free = deflation_driver(
-        SEC61.system, [0.0, 0.0], DriverConfig(order_policy="first", seed=1)
+        SEC61.system, [0.0, 0.0], DriverConfig(order_policy=1, seed=1)
     )
     assert free.stage_count == 2
     assert free.final_regular
