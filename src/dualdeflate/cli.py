@@ -101,8 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--truncated", action="store_true")
     p.add_argument(
-        "--rows", choices=("original", "multiples"), default="original",
-        help="row set for --truncated",
+        "--rows", choices=("original", "multiples"),
+        help="row set for --truncated (default original)",
     )
 
     return ap
@@ -148,11 +148,11 @@ def _run_multiplicity(args, report, F, x0):
 
 
 def _run_predict_order(args, report, F, x0):
-    """The driver's order prediction: at the refined point, with the rank
-    tolerance that point supports."""
-    trace, tol_rank = refine(F, x0, args.tol_rank)
+    """The driver's order prediction: at the refined point, from the rank
+    decision that ``refine`` made there."""
+    trace, jacobian = refine(F, x0, args.tol_rank)
     rng = np.random.default_rng(args.seed)
-    pred = predict_order(F, trace.final, tol_rank, args.tol_coeff, rng)
+    pred = predict_order(F, trace.final, jacobian, args.tol_coeff, rng)
     report.update(order=pred.d, support_degrees=sorted(pred.support_degrees))
     return EXIT_OK
 
@@ -212,6 +212,8 @@ def _run_solve(args, report, F, x0):
 
 
 def _run_matrix(args, report, F, x0):
+    if args.rows and not args.truncated:
+        raise ValueError("--rows needs --truncated")
     M = deflation_matrix(
         F,
         args.order,

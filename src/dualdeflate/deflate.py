@@ -22,13 +22,8 @@ from .errors import (
     OrderTooLowError,
 )
 from .dual import MonomialFrame
-from .linalg import (
-    DEFAULT_RANK_TOL,
-    _check_unit_interval,
-    kernel_basis,
-    least_squares,
-    numerical_rank,
-)
+from .linalg import RankReport, _check_unit_interval, least_squares, numerical_rank
+from .linalg import kernel_basis  # noqa: F401  (bench/tracer.py patches it here)
 from .poly import (
     Exponent,
     Polynomial,
@@ -181,26 +176,34 @@ def deflation_matrix(
     return SymbolicMatrix(tuple(rows), cols, tuple(entries))
 
 
+def _check_kernel(F: PolySystem, jacobian: RankReport) -> None:
+    if len(jacobian.kernel) != F.nvars:
+        raise DimensionMismatchError(f"rank report in {len(jacobian.kernel)} "
+                                     f"variables, system in {F.nvars}")
+
+
 def predict_order(
     F: PolySystem,
     x0: Sequence[complex],
-    tol_rank: float = DEFAULT_RANK_TOL,
+    jacobian: RankReport,
     tol_coeff: float = DEFAULT_COEFF_TOL,
     rng: np.random.Generator | None = None,
 ) -> OrderPrediction:
     """Minimal deflation order from the support of F along a kernel line.
 
-    Draws a generic unit direction gamma in the numerical kernel of the
-    Jacobian and takes the coefficients of H(t) = F(x0 + gamma t). H has
-    degree at most D, the largest total degree in F, so they are the discrete
-    Fourier transform of its values at the D + 1 roots of unity. It keeps the
-    degrees k >= 1 whose coefficients exceed tol_coeff relative to each
-    equation's largest coefficient in H or in F, and returns min(support) - 1.
+    Draws a generic unit direction gamma in the kernel of ``jacobian``, the
+    rank decision on F's Jacobian at x0, and takes the coefficients of
+    H(t) = F(x0 + gamma t). H has degree at most D, the largest total degree
+    in F, so they are the discrete Fourier transform of its values at the
+    D + 1 roots of unity. It keeps the degrees k >= 1 whose coefficients
+    exceed tol_coeff relative to each equation's largest coefficient in H or
+    in F, and returns min(support) - 1.
     """
-    _check_unit_interval(tol_rank=tol_rank, tol_coeff=tol_coeff)
+    _check_unit_interval(tol_coeff=tol_coeff)
+    _check_kernel(F, jacobian)
     rng = rng if rng is not None else np.random.default_rng()
     x0 = _as_vector(x0, F.nvars)
-    K = kernel_basis(F.jacobian_at(x0), tol_rank, scale=F.jacobian_scale())
+    K = jacobian.kernel
     if K.shape[1] == 0:
         raise AlreadyRegularError("Jacobian has full rank; nothing to predict")
     gamma = K @ unit_modulus(rng, K.shape[1])
@@ -242,38 +245,37 @@ def _weighted_sum(weights, polys) -> dict[Exponent, complex]:
 def deflate_first_order(
     F: PolySystem,
     x0: Sequence[complex],
-    tol_rank: float = DEFAULT_RANK_TOL,
+    jacobian: RankReport,
     rng: np.random.Generator | None = None,
 ) -> AugmentedSystem:
     """First-order deflation: ``deflate_higher_order`` at d = 1."""
-    return deflate_higher_order(F, 1, x0, tol_rank, rng)
+    return deflate_higher_order(F, 1, x0, jacobian, rng)
 
 
 def deflate_higher_order(
     F: PolySystem,
     d: int,
     x0: Sequence[complex],
-    tol_rank: float = DEFAULT_RANK_TOL,
+    jacobian: RankReport,
     rng: np.random.Generator | None = None,
 ) -> AugmentedSystem:
     """Order-d deflation with indeterminate multipliers lambda.
 
     Appends sum_c lambda_c p_c for every row p of the order-d derivative
     matrix, and random scaling equations sum_c b_c lambda_c = 1 that pin
-    lambda. At d = 1 the rows are the Jacobian's; when its numerical rank r
-    at x0 is below n - 1 they are compressed by a random n-by-(r+1) matrix
-    B, so lambda lives in C^(r+1). Order 1 takes one scaling equation; at
-    d >= 2 there is one per unit of the matrix's numerical corank at x0.
+    lambda. At d = 1 the rows are the Jacobian's; when its rank r in
+    ``jacobian``, the rank decision at x0, is below n - 1 they are compressed
+    by a random n-by-(r+1) matrix B, so lambda lives in C^(r+1). Order 1 takes
+    one scaling equation; at d >= 2 there is one per unit of the matrix's
+    corank at x0, cut at the report's tol_used.
     """
     if d < 1:
         raise ValueError("deflation order must be >= 1")
-    _check_unit_interval(tol_rank=tol_rank)
+    _check_kernel(F, jacobian)
     rng = rng if rng is not None else np.random.default_rng()
     x0 = _as_vector(x0, F.nvars)
     n = F.nvars
-    J0 = F.jacobian_at(x0)
-    jac_report = numerical_rank(J0, tol_rank, scale=F.jacobian_scale())
-    if jac_report.corank == 0:
+    if jacobian.corank == 0:
         raise AlreadyRegularError("Jacobian already has full rank at the point")
 
     A = deflation_matrix(F, d)
@@ -282,15 +284,15 @@ def deflate_higher_order(
         # the degree-1 frame lists e_n ... e_1, the Jacobian e_1 ... e_n
         rows = [row[::-1] for row in rows]
         B = np.eye(n, dtype=complex)
-        if jac_report.rank < n - 1:
-            B = unit_modulus(rng, (n, jac_report.rank + 1))
+        if jacobian.rank < n - 1:
+            B = unit_modulus(rng, (n, jacobian.rank + 1))
             rows = [[_weighted_sum(col, row) for col in B.T] for row in rows]
-        # multiplied even when B = I: J0 @ I can differ from J0 in the sign
-        # of zero entries, and the multiplier estimate is solved from it
-        A0, m = J0 @ B, 1
+        # multiplied even when B = I: J @ I can differ from J in the sign of
+        # zero entries, and the multiplier estimate is solved from it
+        A0, m = F.jacobian_at(x0) @ B, 1
     else:
         A0 = A.evaluate(x0)
-        m = numerical_rank(A0, tol_rank, scale=max([1.0, *A._compiled.scales])).corank
+        m = numerical_rank(A0, jacobian.tol_used, max([1.0, *A._compiled.scales])).corank
         if m == 0:
             raise OrderTooLowError(
                 f"derivative matrix of order {d} has full rank; raise the order"

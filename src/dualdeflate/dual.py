@@ -45,8 +45,6 @@ DEFAULT_MAX_DEGREE = 16
 class MonomialFrame:
     """All exponents of total degree <= degree, sorted ascending by grlex."""
 
-    nvars: int
-    degree: int
     exponents: tuple[Exponent, ...]
 
     @classmethod
@@ -75,7 +73,7 @@ def _frame_cached(nvars: int, degree: int) -> MonomialFrame:
     exps = [tuple(c.count(i) for i in range(nvars)) for c in picks]
     exps.sort(key=GRLEX.key)
     assert len(exps) == comb(nvars + degree, nvars)
-    return MonomialFrame(nvars, degree, tuple(exps))
+    return MonomialFrame(tuple(exps))
 
 
 @dataclass(frozen=True)

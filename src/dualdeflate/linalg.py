@@ -19,7 +19,11 @@ class RankReport:
     rank: int
     singular_values: np.ndarray
     tol_used: float
-    corank: int
+    kernel: np.ndarray  # kernel_basis(M, tol, scale): its width is the corank
+
+    @property
+    def corank(self) -> int:
+        return self.kernel.shape[1]
 
 
 def _check_unit_interval(**tolerances: float) -> None:
@@ -67,7 +71,7 @@ def numerical_rank(
     than spuriously full-rank.
     """
     s, vh, rank = _factor(M, tol, scale)
-    return RankReport(rank, s, tol, len(vh) - rank)
+    return RankReport(rank, s, tol, vh[rank:].conj().T)
 
 
 def kernel_basis(

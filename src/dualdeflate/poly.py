@@ -423,11 +423,7 @@ class PolySystem:
         """
         return max([1.0, *self._compiled_jacobian.scales])
 
-    def coeff_scales(self) -> np.ndarray:
-        """Per-equation max coefficient magnitude (for relative residuals)."""
-        return np.maximum(self._compiled.scales, 1.0)
-
     def residual(self, pt: Sequence[complex]) -> float:
-        """Max relative residual |f_j(pt)| / max(1, coeff scale of f_j)."""
-        vals = np.abs(self.evaluate(pt)) / self.coeff_scales()
+        """Max relative residual |f_j(pt)| / max(1, |largest coefficient of f_j|)."""
+        vals = np.abs(self.evaluate(pt)) / np.maximum(self._compiled.scales, 1.0)
         return float(vals.max())

@@ -16,12 +16,7 @@ from .deflate import (
     deflate_higher_order,
     predict_order,
 )
-from .errors import (
-    AlreadyRegularError,
-    InconclusivePredictionError,
-    NotARootError,
-    OrderTooLowError,
-)
+from .errors import InconclusivePredictionError, NotARootError, OrderTooLowError
 from .linalg import (
     DEFAULT_RANK_TOL,
     RankReport,
@@ -120,22 +115,22 @@ def is_regular(
 
 def refine(
     F: PolySystem, x0: Sequence[complex], tol_rank: float
-) -> tuple[NewtonTrace, float]:
-    """Gauss-Newton from x0, and the rank tolerance its final point supports.
+) -> tuple[NewtonTrace, RankReport]:
+    """Gauss-Newton from x0, and ``is_regular``'s report at its final point.
 
     A rank decision at a point known only to accuracy e cannot trust
     singular values below ~e times the Jacobian scale (roots away from the
-    origin stall at the cancellation-noise floor ~sqrt(eps)), so tol_rank is
-    widened to 10 times the last Newton step, and capped at 1e-2; a stalled
-    iteration (no step satisfied the step criterion) is assumed to be no
-    better than the double-precision floor ~1e-8 however small its last
-    accepted step was.
+    origin stall at the cancellation-noise floor ~sqrt(eps)), so the report's
+    tol_used is tol_rank widened to 10 times the last Newton step, and capped
+    at 1e-2; a stalled iteration (no step satisfied the step criterion) is
+    assumed to be no better than the double-precision floor ~1e-8 however
+    small its last accepted step was.
     """
     _check_unit_interval(tol_rank=tol_rank)
     trace = gauss_newton(F, x0)
-    stall_floor = 0.0 if trace.converged else 1e-8
-    step = max(trace.step_norms[-1], stall_floor)
-    return trace, min(max(tol_rank, 10.0 * step), 1e-2)
+    step = max(trace.step_norms[-1], 0.0 if trace.converged else 1e-8)
+    tol_used = min(max(tol_rank, 10.0 * step), 1e-2)
+    return trace, is_regular(F, trace.final, tol_used)[1]
 
 
 # the largest relative residual at which the driver accepts a start point
@@ -166,7 +161,6 @@ class DriverResult:
     stages: tuple[AugmentedSystem, ...]
     per_stage_rank: tuple[RankReport, ...]  # one per Newton run, the last decides
     traces: tuple[NewtonTrace, ...]
-    final_system: PolySystem
 
     @property
     def extended_point(self) -> np.ndarray:
@@ -201,7 +195,9 @@ def deflation_driver(
     the order is predicted, and raised by one for the rest of the run after
     each stage whose corank grew and each rejection. An order the builder
     rejects as too low is retried one higher at the same point and tolerance,
-    and the fourth rejection in a run ends it.
+    and the fourth rejection in a run ends it. A run that ends regular at a
+    point whose relative residual in F exceeds ``ROOT_TOL`` raises
+    ``NotARootError``.
     """
     x = _as_vector(x0, F.nvars)
     residual = F.residual(x)
@@ -219,12 +215,11 @@ def deflation_driver(
     rejections = 0
 
     while True:
-        trace, tol_eff = refine(current, point, config.tol_rank)
+        trace, report = refine(current, point, config.tol_rank)
         traces.append(trace)
-        point = trace.final
-        regular, report = is_regular(current, point, tol_eff)
         ranks.append(report)
-        if regular or len(stages) >= config.max_stages:
+        point = trace.final
+        if report.corank == 0 or len(stages) >= config.max_stages:
             break
         if config.order_policy == "auto":
             # Corank counts are only comparable within the growing tower
@@ -232,15 +227,21 @@ def deflation_driver(
             if prev_corank is not None and report.corank > prev_corank:
                 escalate += 1
             prev_corank = report.corank
-            d = _predicted_order(current, point, config, rng, tol_eff) + escalate
+            try:
+                d = predict_order(current, point, report, config.tol_coeff, rng).d
+            except InconclusivePredictionError:
+                warnings.warn("order prediction inconclusive; falling back to "
+                              "first-order deflation", RuntimeWarning)
+                d = 1
+            d += escalate
         else:
             d = config.order_policy
         while rejections < 4:
             try:
                 if d <= 1:
-                    aug = deflate_first_order(current, point, tol_eff, rng)
+                    aug = deflate_first_order(current, point, report, rng)
                 else:
-                    aug = deflate_higher_order(current, d, point, tol_eff, rng)
+                    aug = deflate_higher_order(current, d, point, report, rng)
                 break
             except OrderTooLowError:
                 rejections += 1
@@ -252,17 +253,9 @@ def deflation_driver(
         point = aug.extend_point(point)
         current = aug.system
 
-    return DriverResult(tuple(stages), tuple(ranks), tuple(traces), current)
-
-
-def _predicted_order(
-    system: PolySystem, point: np.ndarray, config: DriverConfig, rng, tol_rank: float
-) -> int:
-    try:
-        return predict_order(system, point, tol_rank, config.tol_coeff, rng).d
-    except (InconclusivePredictionError, AlreadyRegularError):
-        warnings.warn(
-            "order prediction inconclusive; falling back to first-order deflation",
-            RuntimeWarning,
-        )
-        return 1
+    result = DriverResult(tuple(stages), tuple(ranks), tuple(traces))
+    residual = F.residual(result.refined_point) if result.final_regular else 0.0
+    if not residual <= ROOT_TOL:
+        raise NotARootError(f"regular after {len(stages)} stage(s) at relative "
+                            f"residual {residual:.3e}, above {ROOT_TOL:.1e}")
+    return result

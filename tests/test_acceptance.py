@@ -180,7 +180,8 @@ def test_criterion_4_first_order_workflow():
         rng = np.random.default_rng(0)
         direction = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         start = 1e-5 * direction / np.linalg.norm(direction)
-        pred = predict_order(F, start, 1e-8, 1e-4, np.random.default_rng(0))
+        jacobian = is_regular(F, start)[1]
+        pred = predict_order(F, start, jacobian, 1e-4, np.random.default_rng(0))
         assert pred.d == 2
 
         auto = deflation_driver(F, start, DriverConfig(order_policy=2, seed=1))
@@ -271,7 +272,8 @@ def test_criterion_7_strict_multiplicity_decrease():
             assert mu_fixed < before, entry.name
 
             # first-order deflation with multiplier variables
-            aug1 = deflate_first_order(F, root, 1e-8, rng)
+            jacobian = is_regular(F, root, 1e-8)[1]
+            aug1 = deflate_first_order(F, root, jacobian, rng)
             mu_first = dual_space_dz(
                 aug1.system, aug1.extend_point(root)
             ).multiplicity
@@ -280,9 +282,9 @@ def test_criterion_7_strict_multiplicity_decrease():
             # higher-order deflation at the predicted order
             d = corank_drop_order(F, root, 1e-8)
             if d >= 2:
-                aug_d = deflate_higher_order(F, d, root, 1e-8, rng)
+                aug_d = deflate_higher_order(F, d, root, jacobian, rng)
             else:
-                aug_d = deflate_first_order(F, root, 1e-8, rng)
+                aug_d = deflate_first_order(F, root, jacobian, rng)
             mu_high = dual_space_dz(
                 aug_d.system, aug_d.extend_point(root)
             ).multiplicity
@@ -307,7 +309,7 @@ def deflated_regular_system(entry):
         F, root, DriverConfig(seed=3, max_stages=max(entry.multiplicity - 1, 1))
     )
     assert result.final_regular, entry.name
-    return result.final_system, result.extended_point
+    return result.stages[-1].system, result.extended_point
 
 
 def test_criterion_8_convergence_rates():

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dualdeflate
@@ -182,6 +183,29 @@ def test_solve_success(files, capsys):
     assert report["per_stage_rank"][-1]["corank"] == 0
 
 
+LEC02_TEXT = (
+    "vars: x1 x2 x3\n"
+    "2*x1 + 2*x1^2 + 2*x2 + 2*x2^2 + x3^2 - 1;\n"
+    "(x1 + x2 - x3 - 1)^3 - x1^3;\n"
+    "(2*x1^3 + 2*x2^2 + 10*x3 + 5*x3^2 + 5)^3 - 1000*x1^5;\n"
+)
+
+
+@pytest.mark.filterwarnings("ignore:order prediction inconclusive")
+def test_solve_that_ends_regular_off_the_root_is_an_error(files, capsys):
+    # seed 0 from 1e-6 off (0, 0, -1) deflates to a regular point ~0.09 away
+    start = np.array([0, 0, -1]) + 1e-6 * (1 + 1j) / np.sqrt(2)
+    point = "".join(
+        f"x{i} = ({z.real:.17g},{z.imag:.17g})\n" for i, z in enumerate(start, 1)
+    )
+    argv = ["solve", files("s.txt", LEC02_TEXT), files("p.txt", point)]
+    assert main(argv) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = "error: regular after 3 stage(s) at relative residual"
+    assert captured.err.startswith(message)
+
+
 def test_solve_failure_exit_code(files, capsys):
     code, report = run_json(
         capsys,
@@ -341,6 +365,15 @@ def test_matrix_truncated(files, capsys):
     )
     assert code == EXIT_OK
     assert all(len(label) == 2 for label in report["col_labels"])
+
+
+@pytest.mark.parametrize("rows", ["original", "multiples"])
+def test_matrix_rows_needs_truncated(files, capsys, rows):
+    argv = ["matrix", files("s.txt", EX2_TEXT), "--order", "2", "--rows", rows]
+    assert main(argv) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --rows needs --truncated\n"
 
 
 def test_stdin_system(files, capsys, monkeypatch):

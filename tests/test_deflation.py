@@ -18,11 +18,13 @@ from dualdeflate import (
     deflate_with_operator,
     deflation_matrix,
     dual_space_dz,
+    is_regular,
     numerical_rank,
     parse_system,
     predict_order,
 )
 from dualdeflate.deflate import _weighted_sum, unit_modulus
+from dualdeflate.solver import refine
 from dualdeflate.errors import (
     AlreadyRegularError,
     DimensionMismatchError,
@@ -205,7 +207,8 @@ def test_predict_order_matches_exact_restriction_on_corpus():
         exact = corank_drop_order(entry.system, entry.root)
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            pred = predict_order(entry.system, entry.root, rng=rng)
+            jacobian = is_regular(entry.system, entry.root)[1]
+            pred = predict_order(entry.system, entry.root, jacobian, rng=rng)
             assert pred.d == exact, (entry.name, seed, pred.support_degrees)
 
 
@@ -222,17 +225,18 @@ def assert_support_is_exact(F, x0, tol_rank, tol_coeff, seed):
     every other degree must agree.
     """
     args = (F, x0, tol_rank, tol_coeff)
+    ours = (F, x0, is_regular(F, x0, tol_rank)[1], tol_coeff)
     D = max(sum(a) for p in F.polys for a, _ in p.items())
     slack = (D + 1) ** 2 * np.finfo(float).eps
     try:
         sure = predicted_support(*args, np.random.default_rng(seed), slack)
     except AlreadyRegularError:
         with pytest.raises(AlreadyRegularError):
-            predict_order(*args, np.random.default_rng(seed))
+            predict_order(*ours, np.random.default_rng(seed))
         return
     maybe = predicted_support(*args, np.random.default_rng(seed), -slack)
     try:
-        got = predict_order(*args, np.random.default_rng(seed)).support_degrees
+        got = predict_order(*ours, np.random.default_rng(seed)).support_degrees
         assert min(got) >= 2
     except InconclusivePredictionError as exc:
         listed = re.search(r"support \[([0-9, ]*)\] ", str(exc)).group(1)
@@ -270,7 +274,8 @@ def test_support_scale_is_relative(factor):
     # tolerance, and scaling the equation changes nothing
     F = PolySystem(1, (Polynomial(1, {(3,): 1000 * factor, (2,): 1e-3 * factor}),))
     for tol_coeff, want in ((1e-4, {3}), (1e-7, {2, 3})):
-        pred = predict_order(F, [0], tol_coeff=tol_coeff, rng=np.random.default_rng(0))
+        jacobian = is_regular(F, [0])[1]
+        pred = predict_order(F, [0], jacobian, tol_coeff, np.random.default_rng(0))
         assert pred.support_degrees == want
         assert line_support(F, [0], [1], tol_coeff) == want
 
@@ -279,7 +284,8 @@ def test_support_scale_follows_a_larger_restriction():
     # along the line from 10, (x - 10)^2 x^4 is t^2 (10 + t)^4: its t^2
     # coefficient 1e4 outgrows F's largest coefficient 100, so t^6 drops
     F = parse_system("vars: x\n(x - 10)^2 * x^4;")
-    pred = predict_order(F, [10], tol_coeff=1e-3, rng=np.random.default_rng(0))
+    jacobian = is_regular(F, [10])[1]
+    pred = predict_order(F, [10], jacobian, 1e-3, np.random.default_rng(0))
     assert pred.support_degrees == {2, 3, 4, 5}
     assert line_support(F, [10], [1], 1e-3) == {2, 3, 4, 5}
 
@@ -288,7 +294,7 @@ def test_predict_order_inconclusive_support_raises():
     # at 1e-3 from the double root of x^2 the line term 2e-3 t is in the support
     F = parse_system("vars: x\nx^2;")
     with pytest.raises(InconclusivePredictionError, match=re.escape("support [1, 2] ")):
-        predict_order(F, [1e-3], tol_rank=0.5)
+        predict_order(F, [1e-3], is_regular(F, [1e-3], 0.5)[1])
 
 
 def test_predict_order_values():
@@ -302,17 +308,21 @@ def test_predict_order_values():
 def test_predict_order_regular_point_raises():
     F = parse_system("vars: x\nx - 2;")
     with pytest.raises(AlreadyRegularError):
-        predict_order(F, [2.0])
+        predict_order(F, [2.0], is_regular(F, [2.0])[1])
     with pytest.raises(AlreadyRegularError):
         corank_drop_order(F, [2.0])
 
 
 @pytest.mark.parametrize("tol", [0.0, 1.0, -1.0, 2.0, float("nan")])
 def test_predict_order_rejects_tolerances_outside_unit_interval(tol):
-    with pytest.raises(ValueError, match="tol_rank must lie in"):
-        predict_order(EX2.system, EX2.root, tol_rank=tol)
+    # the rank tolerance reaches predict_order only in a report, and both
+    # makers of the report reject it
+    F, x0 = EX2.system, EX2.root
+    for decide in (is_regular, refine):
+        with pytest.raises(ValueError, match="tol_rank must lie in"):
+            predict_order(F, x0, decide(F, x0, tol)[1])
     with pytest.raises(ValueError, match="tol_coeff must lie in"):
-        predict_order(EX2.system, EX2.root, tol_coeff=tol)
+        predict_order(F, x0, is_regular(F, x0)[1], tol_coeff=tol)
 
 
 def test_unit_modulus_deterministic():
@@ -327,7 +337,8 @@ def test_unit_modulus_deterministic():
 def test_first_order_structure_and_root_preservation():
     for entry in (EX2, SEC61):
         rng = np.random.default_rng(3)
-        aug = deflate_first_order(entry.system, entry.root, rng=rng)
+        jacobian = is_regular(entry.system, entry.root)[1]
+        aug = deflate_first_order(entry.system, entry.root, jacobian, rng)
         F = entry.system
         n, N = F.nvars, F.nequations
         J0 = F.jacobian_at(entry.root)
@@ -346,7 +357,8 @@ def test_first_order_structure_and_root_preservation():
 
 def test_first_order_lambda_estimate_solves_scaling():
     rng = np.random.default_rng(4)
-    aug = deflate_first_order(SEC61.system, SEC61.root, rng=rng)
+    jacobian = is_regular(SEC61.system, SEC61.root)[1]
+    aug = deflate_first_order(SEC61.system, SEC61.root, jacobian, rng)
     # the appended scaling equation b . lambda - 1 holds at the estimate
     scaling = aug.system.polys[-1]
     assert abs(evaluate(scaling, aug.extend_point(SEC61.root))) < 1e-10
@@ -355,7 +367,7 @@ def test_first_order_lambda_estimate_solves_scaling():
 def test_first_order_regular_point_raises():
     F = parse_system("vars: x\nx - 2;")
     with pytest.raises(AlreadyRegularError):
-        deflate_first_order(F, [2.0])
+        deflate_first_order(F, [2.0], is_regular(F, [2.0])[1])
 
 
 # -- higher-order deflation ------------------------------------------------
@@ -363,7 +375,8 @@ def test_first_order_regular_point_raises():
 def test_higher_order_structure_and_root_preservation():
     for entry, d in ((SEC61, 2), (EX2, 1), (A2_EXAMPLE, 2)):
         rng = np.random.default_rng(6)
-        aug = deflate_higher_order(entry.system, d, entry.root, rng=rng)
+        jacobian = is_regular(entry.system, entry.root)[1]
+        aug = deflate_higher_order(entry.system, d, entry.root, jacobian, rng)
         F = entry.system
         n, N = F.nvars, F.nequations
         A = deflation_matrix(F, d)
@@ -387,7 +400,7 @@ def test_higher_order_g_rows_are_lambda_combinations():
     rng = np.random.default_rng(8)
     F = SEC61.system
     d = 2
-    aug = deflate_higher_order(F, d, SEC61.root, rng=rng)
+    aug = deflate_higher_order(F, d, SEC61.root, is_regular(F, SEC61.root)[1], rng)
     A = deflation_matrix(F, d)
     n, N = F.nvars, F.nequations
     x = np.array([0.3 - 0.2j, -0.1 + 0.4j])
@@ -400,23 +413,41 @@ def test_higher_order_g_rows_are_lambda_combinations():
 
 def test_higher_order_rejects_bad_order():
     with pytest.raises(ValueError):
-        deflate_higher_order(SEC61.system, 0, SEC61.root)
+        deflate_higher_order(
+            SEC61.system, 0, SEC61.root, is_regular(SEC61.system, SEC61.root)[1]
+        )
 
 
 @pytest.mark.parametrize("tol", [0.0, 1.0, -1.0, 5.0, float("nan")])
 @pytest.mark.parametrize("d", [1, 2])
 def test_deflation_rejects_rank_tolerance_outside_unit_interval(d, tol):
-    with pytest.raises(ValueError, match="tol_rank must lie in"):
-        deflate_higher_order(EX2.system, d, EX2.root, tol_rank=tol)
-    if d == 1:
+    # the rank tolerance reaches the builders only in a report, and both
+    # makers of the report reject it
+    F, x0 = EX2.system, EX2.root
+    for decide in (is_regular, refine):
         with pytest.raises(ValueError, match="tol_rank must lie in"):
-            deflate_first_order(EX2.system, EX2.root, tol_rank=tol)
+            deflate_higher_order(F, d, x0, decide(F, x0, tol)[1])
+        if d == 1:
+            with pytest.raises(ValueError, match="tol_rank must lie in"):
+                deflate_first_order(F, x0, decide(F, x0, tol)[1])
+
+
+def test_report_over_other_variables_is_a_dimension_mismatch():
+    F, x0 = EX2.system, EX2.root
+    report = numerical_rank(np.zeros((3, 3)))  # a kernel with three rows
+    with pytest.raises(DimensionMismatchError):
+        predict_order(F, x0, report)
+    with pytest.raises(DimensionMismatchError):
+        deflate_first_order(F, x0, report)
+    for d in (1, 2):
+        with pytest.raises(DimensionMismatchError):
+            deflate_higher_order(F, d, x0, report)
 
 
 def test_higher_order_regular_point_raises():
     F = parse_system("vars: x\nx - 2;")
     with pytest.raises(AlreadyRegularError):
-        deflate_higher_order(F, 2, [2.0])
+        deflate_higher_order(F, 2, [2.0], is_regular(F, [2.0])[1])
 
 
 # -- fixed-operator augmentation -------------------------------------------
@@ -455,7 +486,8 @@ def test_fixed_operator_rows_follow_its_order(order):
 def test_multiplicity_strictly_decreases(name):
     entry = next(e for e in CORPUS if e.name == name)
     rng = np.random.default_rng(2)
-    aug = deflate_first_order(entry.system, entry.root, rng=rng)
+    jacobian = is_regular(entry.system, entry.root)[1]
+    aug = deflate_first_order(entry.system, entry.root, jacobian, rng)
     z = aug.extend_point(entry.root)
     after = dual_space_dz(aug.system, z).multiplicity
     assert after < entry.multiplicity
@@ -477,9 +509,9 @@ def _assert_builder_matches(F, x, tol, d, seed):
         old = old_build(*args)
     except (AlreadyRegularError, OrderTooLowError) as exc:
         with pytest.raises(type(exc)):
-            deflate_higher_order(F, d, x, tol, rng_new)
+            deflate_higher_order(F, d, x, is_regular(F, x, tol)[1], rng_new)
         return
-    new = deflate_higher_order(F, d, x, tol, rng_new)
+    new = deflate_higher_order(F, d, x, is_regular(F, x, tol)[1], rng_new)
     assert new.system.polys == old.system.polys, (d, seed)
     assert repr(new.system.polys) == repr(old.system.polys), (d, seed)
     assert new.system.var_names == old.system.var_names
@@ -500,7 +532,7 @@ def test_builder_matches_separate_constructions(entry):
                 _assert_builder_matches(F, x, tol, d, seed)
     # one stage in, the Jacobian often has rank n - 1, where order 1 keeps
     # all n multipliers and multiplies by the identity
-    aug = deflate_first_order(F, root, 1e-8, np.random.default_rng(0))
+    aug = deflate_first_order(F, root, is_regular(F, root)[1], np.random.default_rng(0))
     for d in (1, 2):
         for seed in range(3):
             _assert_builder_matches(aug.system, aug.extend_point(root), 1e-8, d, seed)
@@ -535,9 +567,12 @@ def test_weighted_sum_stores_the_bits_of_polynomial_arithmetic(pairs):
 
 def test_first_order_is_the_order_one_builder():
     for entry in (EX2, SEC61, A2_EXAMPLE):
-        a = deflate_first_order(entry.system, entry.root, rng=np.random.default_rng(5))
+        jacobian = is_regular(entry.system, entry.root)[1]
+        a = deflate_first_order(
+            entry.system, entry.root, jacobian, np.random.default_rng(5)
+        )
         b = deflate_higher_order(
-            entry.system, 1, entry.root, rng=np.random.default_rng(5)
+            entry.system, 1, entry.root, jacobian, np.random.default_rng(5)
         )
         assert repr(a.system.polys) == repr(b.system.polys)
         assert a.lambda_estimate.tobytes() == b.lambda_estimate.tobytes()

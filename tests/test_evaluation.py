@@ -16,6 +16,7 @@ from dualdeflate import (
     PolySystem,
     deflate_higher_order,
     deflation_matrix,
+    is_regular,
     parse_system,
 )
 
@@ -36,9 +37,9 @@ def assert_matches_reference(F: PolySystem, x: np.ndarray) -> None:
     assert same_bits(F.evaluate(x), values)
     assert same_bits(F.jacobian_at(x), jacobian)
     assert F.jacobian_scale() == scale
-    assert np.array_equal(
-        F.coeff_scales(), [max(max_coeff_magnitude(p), 1.0) for p in F.polys]
-    )
+    # the residual divides each equation by its largest coefficient, at least 1
+    scales = [max(max_coeff_magnitude(p), 1.0) for p in F.polys]
+    assert F.residual(x) == max(np.abs(values) / scales)
 
 
 def points_near(root: np.ndarray, seed: int) -> list[np.ndarray]:
@@ -70,7 +71,8 @@ def test_symbolic_matrix_matches_reference(entry):
 def test_deflated_system_matches_reference(entry):
     F, x0 = entry.system, entry.root
     for d in sorted({1, corank_drop_order(F, x0)}):
-        aug = deflate_higher_order(F, d, x0, rng=np.random.default_rng(3))
+        jacobian = is_regular(F, x0)[1]
+        aug = deflate_higher_order(F, d, x0, jacobian, np.random.default_rng(3))
         assert aug.system.nvars > F.nvars
         for x in points_near(aug.extend_point(x0), 2):
             assert_matches_reference(aug.system, x)

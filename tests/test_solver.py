@@ -14,10 +14,10 @@ from dualdeflate import (
     is_regular,
     parse_system,
 )
-from dualdeflate import solver
+from dualdeflate import linalg, solver
 from dualdeflate.errors import NotARootError, OrderTooLowError
 
-from corpus import CORPUS, EX2, SEC61
+from corpus import CORPUS, EX2, LEC02, SEC61
 
 
 def test_newton_options_validation():
@@ -127,6 +127,36 @@ def test_is_regular_rejects_tolerance_outside_unit_interval(tol):
     assert is_regular(F, root)[0]
     with pytest.raises(ValueError, match="tol_rank"):
         is_regular(F, root, tol)
+    with pytest.raises(ValueError, match="tol_rank"):
+        solver.refine(F, root, tol)
+
+
+@pytest.mark.parametrize("order_policy", ["auto", 1])
+def test_each_stage_factors_its_jacobian_once(monkeypatch, order_policy):
+    # regularity, order prediction and the builder read one rank decision
+    shapes = []
+    factor = linalg._factor
+
+    def recording(M, tol, scale):
+        shapes.append(np.shape(M))
+        return factor(M, tol, scale)
+
+    monkeypatch.setattr(linalg, "_factor", recording)
+    start = EX2.root + 1e-6 * (1 + 1j) / np.sqrt(2)
+    config = DriverConfig(order_policy=order_policy)
+    result = deflation_driver(EX2.system, start, config)
+    assert result.final_regular and result.stage_count == 1
+    assert shapes.count((3, 2)) == 1
+    assert len(shapes) == len(set(shapes)) == 2
+
+
+@pytest.mark.filterwarnings("ignore:order prediction inconclusive")
+def test_driver_rejects_a_regular_end_that_is_not_a_root():
+    # from 1e-6 off, seed 0 deflates to a regular point ~0.09 from the root
+    start = LEC02.root + 1e-6 * (1 + 1j) / np.sqrt(2)
+    message = r"after 3 stage\(s\) at relative residual 8\.\d+e-02"
+    with pytest.raises(NotARootError, match=message):
+        deflation_driver(LEC02.system, start, DriverConfig(seed=0))
 
 
 def test_driver_rejects_non_roots():
@@ -206,11 +236,11 @@ def test_fixed_order_is_not_raised_after_a_corank_increase(monkeypatch):
     orders = []
     build = solver.deflate_higher_order
 
-    def order_two_only(F, d, x0, tol, rng):
+    def order_two_only(F, d, x0, jacobian, rng):
         orders.append(d)
         if d != 2:
             raise AssertionError(f"order {d} asked for under order_policy=2")
-        return build(F, d, x0, tol, rng)
+        return build(F, d, x0, jacobian, rng)
 
     monkeypatch.setattr(solver, "deflate_higher_order", order_two_only)
     root = np.array([-1.0, 1.0, -1.0])
@@ -244,15 +274,15 @@ def test_driver_stage_cap_reported_as_failure():
 
 def test_driver_retries_a_rejected_order_at_the_same_point(monkeypatch):
     # the builder rejects the first order once; the retry is one order up at
-    # the same point and tolerance, with no second Newton run for the stage
+    # the same point and rank decision, with no second Newton run for the stage
     calls = []
     build = solver.deflate_higher_order
 
-    def reject_once(F, d, x0, tol, rng):
-        calls.append((d, np.array(x0), tol))
+    def reject_once(F, d, x0, jacobian, rng):
+        calls.append((d, np.array(x0), jacobian))
         if len(calls) == 1:
             raise OrderTooLowError("rejected for the test")
-        return build(F, d, x0, tol, rng)
+        return build(F, d, x0, jacobian, rng)
 
     monkeypatch.setattr(solver, "deflate_higher_order", reject_once)
     start = SEC61.root + 1e-6 * (1 + 1j) / np.sqrt(2)
@@ -261,7 +291,7 @@ def test_driver_retries_a_rejected_order_at_the_same_point(monkeypatch):
     )
     assert [d for d, _, _ in calls] == [2, 3]
     assert np.array_equal(calls[0][1], calls[1][1])
-    assert calls[0][2] == calls[1][2]
+    assert calls[0][2] is calls[1][2]
     assert result.stage_count == 1 and result.stages[0].order == 3
     assert len(result.per_stage_rank) == len(result.traces) == 2
     assert result.final_regular
@@ -270,7 +300,7 @@ def test_driver_retries_a_rejected_order_at_the_same_point(monkeypatch):
 def test_driver_fourth_rejection_ends_the_run(monkeypatch):
     orders = []
 
-    def reject(F, d, x0, tol, rng):
+    def reject(F, d, x0, jacobian, rng):
         orders.append(d)
         raise OrderTooLowError("rejected for the test")
 
