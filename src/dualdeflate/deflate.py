@@ -186,8 +186,8 @@ def predict_order(
     F: PolySystem,
     x0: Sequence[complex],
     jacobian: RankReport,
-    tol_coeff: float = DEFAULT_COEFF_TOL,
-    rng: np.random.Generator | None = None,
+    tol_coeff: float,
+    rng: np.random.Generator,
 ) -> OrderPrediction:
     """Minimal deflation order from the support of F along a kernel line.
 
@@ -201,7 +201,6 @@ def predict_order(
     """
     _check_unit_interval(tol_coeff=tol_coeff)
     _check_kernel(F, jacobian)
-    rng = rng if rng is not None else np.random.default_rng()
     x0 = _as_vector(x0, F.nvars)
     K = jacobian.kernel
     if K.shape[1] == 0:
@@ -246,7 +245,7 @@ def deflate_first_order(
     F: PolySystem,
     x0: Sequence[complex],
     jacobian: RankReport,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> AugmentedSystem:
     """First-order deflation: ``deflate_higher_order`` at d = 1."""
     return deflate_higher_order(F, 1, x0, jacobian, rng)
@@ -257,32 +256,29 @@ def deflate_higher_order(
     d: int,
     x0: Sequence[complex],
     jacobian: RankReport,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> AugmentedSystem:
     """Order-d deflation with indeterminate multipliers lambda.
 
     Appends sum_c lambda_c p_c for every row p of the order-d derivative
     matrix, and random scaling equations sum_c b_c lambda_c = 1 that pin
-    lambda. At d = 1 the rows are the Jacobian's; when its rank r in
-    ``jacobian``, the rank decision at x0, is below n - 1 they are compressed
-    by a random n-by-(r+1) matrix B, so lambda lives in C^(r+1). Order 1 takes
-    one scaling equation; at d >= 2 there is one per unit of the matrix's
-    corank at x0, cut at the report's tol_used.
+    lambda. At d = 1 the rows are the Jacobian's, from F's own terms; when
+    its rank r in ``jacobian``, the rank decision at x0, is below n - 1 they
+    are compressed by a random n-by-(r+1) matrix B, so lambda lives in
+    C^(r+1). Order 1 takes one scaling equation; at d >= 2 there is one per
+    unit of the matrix's corank at x0, cut at the report's tol_used.
     """
     if d < 1:
         raise ValueError("deflation order must be >= 1")
     _check_kernel(F, jacobian)
-    rng = rng if rng is not None else np.random.default_rng()
     x0 = _as_vector(x0, F.nvars)
     n = F.nvars
     if jacobian.corank == 0:
         raise AlreadyRegularError("Jacobian already has full rank at the point")
 
-    A = deflation_matrix(F, d)
-    rows = A.entries
     if d == 1:
-        # the degree-1 frame lists e_n ... e_1, the Jacobian e_1 ... e_n
-        rows = [row[::-1] for row in rows]
+        units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        rows = [[_derivative(f.items(), e) for e in units] for f in F.polys]
         B = np.eye(n, dtype=complex)
         if jacobian.rank < n - 1:
             B = unit_modulus(rng, (n, jacobian.rank + 1))
@@ -291,6 +287,8 @@ def deflate_higher_order(
         # zero entries, and the multiplier estimate is solved from it
         A0, m = F.jacobian_at(x0) @ B, 1
     else:
+        A = deflation_matrix(F, d)
+        rows = A.entries
         A0 = A.evaluate(x0)
         m = numerical_rank(A0, jacobian.tol_used, max([1.0, *A._compiled.scales])).corank
         if m == 0:

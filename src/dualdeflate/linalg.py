@@ -16,7 +16,6 @@ ABSOLUTE_FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class RankReport:
-    rank: int
     singular_values: np.ndarray
     tol_used: float
     kernel: np.ndarray  # kernel_basis(M, tol, scale): its width is the corank
@@ -24,6 +23,10 @@ class RankReport:
     @property
     def corank(self) -> int:
         return self.kernel.shape[1]
+
+    @property
+    def rank(self) -> int:
+        return len(self.kernel) - self.corank
 
 
 def _check_unit_interval(**tolerances: float) -> None:
@@ -47,15 +50,16 @@ def _check_finite(M: np.ndarray) -> np.ndarray:
 def _factor(M: np.ndarray, tol: float, scale: float):
     """Singular values s, the n-by-n right factor V^H, and the rank of M.
 
-    The rank is 0 when sigma_1 is below ``ABSOLUTE_FLOOR`` (near-zero
-    matrices get no spurious rank), otherwise the count of singular values
-    above tol * max(sigma_1, scale). An empty matrix has no singular values,
-    rank 0 and V^H = I.
+    Only a wide M needs full factors for V^H to be n-by-n, so a tall M gets
+    no square U. The rank is 0 when sigma_1 is below ``ABSOLUTE_FLOOR``
+    (near-zero matrices get no spurious rank), otherwise the count of
+    singular values above tol * max(sigma_1, scale). An empty matrix has no
+    singular values, rank 0 and V^H = I.
     """
     M = _check_finite(M)
     if M.size == 0:
         return np.zeros(0), np.eye(M.shape[1] if M.ndim == 2 else 0, dtype=M.dtype), 0
-    _, s, vh = np.linalg.svd(M)
+    _, s, vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
     rank = 0 if s[0] < ABSOLUTE_FLOOR else int(np.sum(s > tol * max(s[0], scale)))
     return s, vh, rank
 
@@ -71,7 +75,7 @@ def numerical_rank(
     than spuriously full-rank.
     """
     s, vh, rank = _factor(M, tol, scale)
-    return RankReport(rank, s, tol, vh[rank:].conj().T)
+    return RankReport(s, tol, vh[rank:].conj().T)
 
 
 def kernel_basis(
@@ -82,8 +86,7 @@ def kernel_basis(
     Deterministic: right singular vectors for the trailing singular values.
     ``scale`` has the same meaning as in :func:`numerical_rank`.
     """
-    _, vh, rank = _factor(M, tol, scale)
-    return vh[rank:].conj().T
+    return numerical_rank(M, tol, scale).kernel
 
 
 def least_squares(A: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -12,10 +12,10 @@ import numpy as np
 from .deflate import (
     DEFAULT_COEFF_TOL,
     AugmentedSystem,
-    deflate_first_order,
     deflate_higher_order,
     predict_order,
 )
+from .deflate import deflate_first_order  # noqa: F401  (bench/tracer.py patches it here)
 from .errors import InconclusivePredictionError, NotARootError, OrderTooLowError
 from .linalg import (
     DEFAULT_RANK_TOL,
@@ -238,10 +238,7 @@ def deflation_driver(
             d = config.order_policy
         while rejections < 4:
             try:
-                if d <= 1:
-                    aug = deflate_first_order(current, point, report, rng)
-                else:
-                    aug = deflate_higher_order(current, d, point, report, rng)
+                aug = deflate_higher_order(current, d, point, report, rng)
                 break
             except OrderTooLowError:
                 rejections += 1

@@ -31,6 +31,7 @@ class CorpusEntry:
     multiplicity: int
     mu_source: str  # "published" or "staircase"
     generators: tuple | None = None
+    text: str | None = None  # the system as published
 
 
 def _published(name: str, text: str, root, mu: int) -> CorpusEntry:
@@ -40,6 +41,7 @@ def _published(name: str, text: str, root, mu: int) -> CorpusEntry:
         root=np.asarray(root, dtype=complex),
         multiplicity=mu,
         mu_source="published",
+        text=text,
     )
 
 
@@ -178,3 +180,43 @@ CORPUS: tuple[CorpusEntry, ...] = (
     LEC02,
     DOUBLE_ROOT,
 ) + RANDOMIZED
+
+# Systems of the Dayton-Zeng test suite (Dayton & Zeng, ISSAC 2005) at their
+# published roots. Their texts and multiplicities were written down without
+# the paper at hand, so the reference is ``oracles.local_multiplicity``,
+# which the tests check every stated multiplicity against. They are kept out
+# of CORPUS, whose entries acceptance criteria 6-8 run.
+PUBLISHED: tuple[CorpusEntry, ...] = (
+    _published("cmbs1", "vars: x y z\nx^3 - y*z;\ny^3 - x*z;\nz^3 - x*y;", [0, 0, 0], 11),
+    _published(
+        "cmbs2",
+        "vars: x y z\n"
+        "x^3 - 3*x^2*y + 3*x*y^2 - y^3 - z^2;\n"
+        "y^3 - 3*y^2*z + 3*y*z^2 - z^3 - x^2;\n"
+        "z^3 - 3*z^2*x + 3*z*x^2 - x^3 - y^2;",
+        [0, 0, 0],
+        8,
+    ),
+    _published(
+        "mth191",
+        "vars: x y z\nx^3 + y^2 + z^2 - 1;\nx^2 + y^3 + z^2 - 1;\nx^2 + y^2 + z^3 - 1;",
+        [0, 1, 0],
+        4,
+    ),
+    _published("decker2", "vars: x y\nx + y^3;\nx^2*y - y^4;", [0, 0], 4),
+    _published(
+        "ojika2",
+        "vars: x y z\nx^2 + y + z - 1;\nx + y^2 + z - 1;\nx + y + z^2 - 1;",
+        [0, 0, 1],
+        2,
+    ),
+    _published(
+        "kss3",
+        "vars: x1 x2 x3\n"
+        "x1^2 + x1 + x2 + x3 - 2*x1 - 2;\n"
+        "x2^2 + x1 + x2 + x3 - 2*x2 - 2;\n"
+        "x3^2 + x1 + x2 + x3 - 2*x3 - 2;",
+        [1, 1, 1],
+        4,
+    ),
+)

@@ -2,9 +2,11 @@
 
 Everything here deliberately avoids the package's own calculus: derivatives
 are taken either term-by-term on raw exponent dictionaries or through sympy,
-and multiplicities of monomial ideals are counted by brute-force staircase
-enumeration. Keeping these separate from the library is what makes the
-cross-checks meaningful. The exceptions are plain earlier forms of faster
+multiplicities of monomial ideals are counted by brute-force staircase
+enumeration, and the local multiplicity of any rational system at a
+rational root is read from Groebner bases over QQ (``local_multiplicity``).
+Keeping these separate from the library is what makes the cross-checks
+meaningful. The exceptions are plain earlier forms of faster
 code in the package, kept as references for it: ``evaluate``, the
 term-by-term evaluation that the compiled ``PolySystem`` and
 ``SymbolicMatrix`` evaluation must match bit for bit, with ``diff_once``
@@ -28,6 +30,7 @@ one deflation builder must match.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from math import comb
@@ -487,6 +490,54 @@ def staircase_count(generators: Sequence[tuple], nvars: int) -> int:
             idx[i] = 0
         else:
             return count
+
+
+def _exponents(nvars: int, degree: int):
+    """The exponent tuples of total degree ``degree`` in nvars variables."""
+    return [e for e in itertools.product(range(degree + 1), repeat=nvars)
+            if sum(e) == degree]
+
+
+def local_multiplicity(text: str, root: Sequence) -> int:
+    """Exact multiplicity of the system in ``text`` at a rational root.
+
+    The text is read by sympy over QQ, so a decimal coefficient is its exact
+    fraction; ``root`` holds ints, Fractions or decimal strings. With the
+    root moved to the origin and m the ideal of the origin, the dimension of
+    QQ[x]/(I + m^N) is the count of standard monomials of a grevlex Groebner
+    basis of I + m^N. It grows with N until two successive N agree; then
+    m^N lies in I + m^(N+1), so m^N lies in I locally by Nakayama's lemma,
+    and the count is the local multiplicity (Cox, Little & O'Shea, *Using
+    Algebraic Geometry*, ch. 4). Raises ValueError when no two powers up to
+    m^40 agree, as at a root that is not isolated.
+    """
+    header, _, body = text.strip().partition("\n")
+    names = header.split(":", 1)[1].split()
+    syms = sympy.symbols(names)
+    n = len(syms)
+    shift = {s: s + sympy.Rational(r) for s, r in zip(syms, root)}
+    local = dict(zip(names, syms))
+    ideal = [
+        sympy.sympify(eq.replace("^", "**"), locals=local, rational=True)
+        .subs(shift, simultaneous=True)
+        .expand()
+        for eq in body.split(";")
+        if eq.strip()
+    ]
+    previous = None
+    for N in range(1, 41):
+        power = [sympy.prod(s**a for s, a in zip(syms, e)) for e in _exponents(n, N)]
+        G = sympy.groebner(ideal + power, *syms, order="grevlex", domain=sympy.QQ)
+        leading = [g.monoms(order="grevlex")[0] for g in G.polys]
+        dim = sum(
+            not any(all(a >= b for a, b in zip(e, lm)) for lm in leading)
+            for k in range(N)
+            for e in _exponents(n, k)
+        )
+        if dim == previous:
+            return dim
+        previous = dim
+    raise ValueError("the quotient by I + m^N still grows at N = 40")
 
 
 # -- the separate deflation constructions the one builder replaced ----------

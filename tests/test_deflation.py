@@ -23,7 +23,7 @@ from dualdeflate import (
     parse_system,
     predict_order,
 )
-from dualdeflate.deflate import _weighted_sum, unit_modulus
+from dualdeflate.deflate import DEFAULT_COEFF_TOL, _weighted_sum, unit_modulus
 from dualdeflate.solver import refine
 from dualdeflate.errors import (
     AlreadyRegularError,
@@ -208,7 +208,7 @@ def test_predict_order_matches_exact_restriction_on_corpus():
         for seed in range(5):
             rng = np.random.default_rng(seed)
             jacobian = is_regular(entry.system, entry.root)[1]
-            pred = predict_order(entry.system, entry.root, jacobian, rng=rng)
+            pred = predict_order(entry.system, entry.root, jacobian, DEFAULT_COEFF_TOL, rng)
             assert pred.d == exact, (entry.name, seed, pred.support_degrees)
 
 
@@ -294,7 +294,8 @@ def test_predict_order_inconclusive_support_raises():
     # at 1e-3 from the double root of x^2 the line term 2e-3 t is in the support
     F = parse_system("vars: x\nx^2;")
     with pytest.raises(InconclusivePredictionError, match=re.escape("support [1, 2] ")):
-        predict_order(F, [1e-3], is_regular(F, [1e-3], 0.5)[1])
+        predict_order(F, [1e-3], is_regular(F, [1e-3], 0.5)[1], DEFAULT_COEFF_TOL,
+                      np.random.default_rng(0))
 
 
 def test_predict_order_values():
@@ -308,7 +309,8 @@ def test_predict_order_values():
 def test_predict_order_regular_point_raises():
     F = parse_system("vars: x\nx - 2;")
     with pytest.raises(AlreadyRegularError):
-        predict_order(F, [2.0], is_regular(F, [2.0])[1])
+        predict_order(F, [2.0], is_regular(F, [2.0])[1], DEFAULT_COEFF_TOL,
+                      np.random.default_rng(0))
     with pytest.raises(AlreadyRegularError):
         corank_drop_order(F, [2.0])
 
@@ -320,9 +322,10 @@ def test_predict_order_rejects_tolerances_outside_unit_interval(tol):
     F, x0 = EX2.system, EX2.root
     for decide in (is_regular, refine):
         with pytest.raises(ValueError, match="tol_rank must lie in"):
-            predict_order(F, x0, decide(F, x0, tol)[1])
+            predict_order(F, x0, decide(F, x0, tol)[1], DEFAULT_COEFF_TOL,
+                          np.random.default_rng(0))
     with pytest.raises(ValueError, match="tol_coeff must lie in"):
-        predict_order(F, x0, is_regular(F, x0)[1], tol_coeff=tol)
+        predict_order(F, x0, is_regular(F, x0)[1], tol, np.random.default_rng(0))
 
 
 def test_unit_modulus_deterministic():
@@ -367,7 +370,7 @@ def test_first_order_lambda_estimate_solves_scaling():
 def test_first_order_regular_point_raises():
     F = parse_system("vars: x\nx - 2;")
     with pytest.raises(AlreadyRegularError):
-        deflate_first_order(F, [2.0], is_regular(F, [2.0])[1])
+        deflate_first_order(F, [2.0], is_regular(F, [2.0])[1], np.random.default_rng(0))
 
 
 # -- higher-order deflation ------------------------------------------------
@@ -414,7 +417,8 @@ def test_higher_order_g_rows_are_lambda_combinations():
 def test_higher_order_rejects_bad_order():
     with pytest.raises(ValueError):
         deflate_higher_order(
-            SEC61.system, 0, SEC61.root, is_regular(SEC61.system, SEC61.root)[1]
+            SEC61.system, 0, SEC61.root, is_regular(SEC61.system, SEC61.root)[1],
+            np.random.default_rng(0),
         )
 
 
@@ -435,19 +439,20 @@ def test_deflation_rejects_rank_tolerance_outside_unit_interval(d, tol):
 def test_report_over_other_variables_is_a_dimension_mismatch():
     F, x0 = EX2.system, EX2.root
     report = numerical_rank(np.zeros((3, 3)))  # a kernel with three rows
+    rng = np.random.default_rng(0)
     with pytest.raises(DimensionMismatchError):
-        predict_order(F, x0, report)
+        predict_order(F, x0, report, DEFAULT_COEFF_TOL, rng)
     with pytest.raises(DimensionMismatchError):
-        deflate_first_order(F, x0, report)
+        deflate_first_order(F, x0, report, rng)
     for d in (1, 2):
         with pytest.raises(DimensionMismatchError):
-            deflate_higher_order(F, d, x0, report)
+            deflate_higher_order(F, d, x0, report, rng)
 
 
 def test_higher_order_regular_point_raises():
     F = parse_system("vars: x\nx - 2;")
     with pytest.raises(AlreadyRegularError):
-        deflate_higher_order(F, 2, [2.0], is_regular(F, [2.0])[1])
+        deflate_higher_order(F, 2, [2.0], is_regular(F, [2.0])[1], np.random.default_rng(0))
 
 
 # -- fixed-operator augmentation -------------------------------------------
@@ -576,6 +581,28 @@ def test_first_order_is_the_order_one_builder():
         )
         assert repr(a.system.polys) == repr(b.system.polys)
         assert a.lambda_estimate.tobytes() == b.lambda_estimate.tobytes()
+
+
+@pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
+def test_order_one_is_built_from_the_terms_of_f(entry, monkeypatch):
+    def no_matrix(*args, **kwargs):
+        raise RuntimeError("order 1 built the derivative matrix")
+
+    monkeypatch.setattr("dualdeflate.deflate.deflation_matrix", no_matrix)
+    for seed in range(3):
+        _assert_builder_matches(entry.system, entry.root, 1e-8, 1, seed)
+
+
+def test_the_caller_supplies_the_generator():
+    F, x0 = EX2.system, EX2.root
+    jacobian = is_regular(F, x0)[1]
+    with pytest.raises(TypeError):
+        predict_order(F, x0, jacobian, DEFAULT_COEFF_TOL)
+    with pytest.raises(TypeError):
+        deflate_first_order(F, x0, jacobian)
+    for d in (1, 2):
+        with pytest.raises(TypeError):
+            deflate_higher_order(F, d, x0, jacobian)
 
 
 @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)

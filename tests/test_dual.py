@@ -1,6 +1,7 @@
 """Dual-space construction: matrices, both algorithms, initial supports."""
 
 import tracemalloc
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -17,6 +18,7 @@ from dualdeflate import (
     dual_space_dz,
     dual_space_st,
     parse_system,
+    serialize_system,
 )
 from dualdeflate.dual import (
     _CoefficientRows,
@@ -35,6 +37,7 @@ from corpus import (
     EX1,
     EX2,
     LEC02,
+    PUBLISHED,
     SEC61,
     monomial_ideal_entry,
     monomial_ideals,
@@ -44,6 +47,7 @@ from oracles import (
     build_sigma,
     dual_space_uncompressed,
     initial_support_by_scan,
+    local_multiplicity,
     max_coeff_magnitude,
     mdz_by_lookup,
     monomial_multiply,
@@ -265,6 +269,24 @@ def test_methods_agree_on_corpus(entry):
     assert dz.per_degree_dims == st.per_degree_dims
     A, B = dz.coefficients, st.coefficients
     assert subspace_distance(A, B) < 1e-8
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(monomial_ideals())
+def test_local_multiplicity_is_the_staircase_count(ideal):
+    # the moved and mixed system, read back from its text at its dyadic root
+    gens, n, seed = ideal
+    entry = monomial_ideal_entry("random", gens, n, seed)
+    root = [Fraction(z.real) for z in entry.root]
+    assert local_multiplicity(serialize_system(entry.system), root) == entry.multiplicity
+
+
+@pytest.mark.parametrize("entry", PUBLISHED, ids=lambda e: e.name)
+def test_methods_read_the_exact_multiplicity_of_published_systems(entry):
+    mu = local_multiplicity(entry.text, [Fraction(z.real) for z in entry.root])
+    assert mu == entry.multiplicity
+    assert dual_space_dz(entry.system, entry.root).multiplicity == mu
+    assert dual_space_st(entry.system, entry.root).multiplicity == mu
 
 
 # Ideals that DZ miscounted while it solved each degree over the whole

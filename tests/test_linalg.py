@@ -1,12 +1,14 @@
 """Rank decisions, kernels, pruning, and least squares."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualdeflate import kernel_basis, least_squares, numerical_rank
-from dualdeflate.linalg import prune_rows
+from dualdeflate import RankReport, kernel_basis, least_squares, numerical_rank
+from dualdeflate.linalg import _factor, prune_rows
 
 from oracles import subspace_distance
 
@@ -115,6 +117,41 @@ def test_zero_and_empty_matrices():
     assert prune_rows(np.zeros((3, 4))).shape == (0, 4)
     E = np.zeros((0, 5))
     assert kernel_basis(E).shape == (5, 5)
+
+
+def test_report_keeps_sigma_tolerance_and_kernel_only():
+    # the rank is what the kernel leaves of the column count
+    fields = [f.name for f in dataclasses.fields(RankReport)]
+    assert fields == ["singular_values", "tol_used", "kernel"]
+    rng = np.random.default_rng(6)
+    cases = [
+        (rng.standard_normal((5, 3)), 3),
+        (engineered_matrix(rng, 4, 6, 2), 2),
+        (engineered_matrix(rng, 6, 4, 3), 3),
+        (np.zeros((3, 4)), 0),
+        (np.zeros((0, 5)), 0),
+    ]
+    for M, rank in cases:
+        report = numerical_rank(M)
+        assert report.rank == rank
+        assert report.rank + report.corank == M.shape[1]
+
+
+def test_a_tall_matrix_builds_no_square_left_factor(monkeypatch):
+    asked = []
+    svd = np.linalg.svd
+
+    def recording(M, *args, **kwargs):
+        asked.append(kwargs.get("full_matrices", True))
+        return svd(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    rng = np.random.default_rng(10)
+    _, vh, rank = _factor(rng.standard_normal((6, 2)), 1e-8, 0.0)
+    assert asked == [False] and vh.shape == (2, 2) and rank == 2
+    # a wide matrix still needs the full right factor for its kernel
+    _, vh, rank = _factor(rng.standard_normal((2, 6)), 1e-8, 0.0)
+    assert asked == [False, True] and vh.shape == (6, 6) and rank == 2
 
 
 def test_real_input_stays_real():

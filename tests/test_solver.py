@@ -17,7 +17,7 @@ from dualdeflate import (
 from dualdeflate import linalg, solver
 from dualdeflate.errors import NotARootError, OrderTooLowError
 
-from corpus import CORPUS, EX2, LEC02, SEC61
+from corpus import CORPUS, EX2, LEC02, PUBLISHED, SEC61
 
 
 def test_newton_options_validation():
@@ -148,6 +148,31 @@ def test_each_stage_factors_its_jacobian_once(monkeypatch, order_policy):
     assert result.final_regular and result.stage_count == 1
     assert shapes.count((3, 2)) == 1
     assert len(shapes) == len(set(shapes)) == 2
+
+
+@pytest.mark.parametrize("order_policy", ["auto", 1])
+def test_driver_hands_order_one_to_the_one_builder(monkeypatch, order_policy):
+    orders = []
+    build = solver.deflate_higher_order
+
+    def recording(F, d, x0, jacobian, rng):
+        orders.append(d)
+        return build(F, d, x0, jacobian, rng)
+
+    monkeypatch.setattr(solver, "deflate_higher_order", recording)
+    start = EX2.root + 1e-6 * (1 + 1j) / np.sqrt(2)
+    result = deflation_driver(EX2.system, start, DriverConfig(order_policy=order_policy))
+    assert orders == [1]
+    assert result.final_regular and result.stages[0].kind == "first-order-B"
+
+
+@pytest.mark.parametrize("entry", PUBLISHED, ids=lambda e: e.name)
+def test_driver_ends_regular_at_published_roots(entry):
+    start = entry.root + 1e-6 * (1 + 1j) / np.sqrt(2)
+    for seed in range(3):
+        result = deflation_driver(entry.system, start, DriverConfig(seed=seed))
+        assert result.final_regular, seed
+        assert np.linalg.norm(result.refined_point - entry.root) < 1e-8, seed
 
 
 @pytest.mark.filterwarnings("ignore:order prediction inconclusive")
